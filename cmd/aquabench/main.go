@@ -7,15 +7,17 @@
 //	aquabench -experiment fig3|fig4a|fig4b|lui|reqdelay|baselines|hotspot|failover|all
 //	aquabench -experiment fig4a -requests 200   # faster, noisier
 //	aquabench -experiment chaos -chaos-runs 8 -faults crash,partition,link,seqkill
-//	aquabench -experiment loadmax -loadmax-json BENCH_loadmax.json
-//	aquabench -experiment shardmax -shards 1,2,4 -shardmax-json BENCH_shardmax.json
+//	aquabench -experiment loadmax -json BENCH_loadmax.json
+//	aquabench -experiment shardmax -shards 1,2,4 -json BENCH_shardmax.json
 //	aquabench -experiment shardchaos -chaos-runs 4
-//	aquabench -experiment livemax -livemax-json BENCH_livemax.json
+//	aquabench -experiment livemax -json BENCH_livemax.json
+//	aquabench -experiment livemax -quick -shards 2
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -30,24 +32,19 @@ import (
 
 func main() {
 	var (
-		which        = flag.String("experiment", "all", "experiment id: fig3, fig4a, fig4b, lui, reqdelay, baselines, hotspot, failover, calibration, groupsplit, window, estimator, scalability, loss, arrivals, chaos, loadmax, shardmax, shardchaos, livemax, all")
-		requests     = flag.Int("requests", 1000, "requests per client per run (paper: 1000)")
-		seed         = flag.Int64("seed", 2002, "base random seed")
-		iters        = flag.Int("iters", 2000, "iterations per fig3 measurement point")
-		parallel     = flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count (1 = sequential; output is identical either way)")
-		progress     = flag.Bool("progress", true, "report per-point sweep progress on stderr")
-		obsPath      = flag.String("obs", "", "write an aggregated Prometheus-text metrics snapshot of all runs to this file")
-		tracePath    = flag.String("trace", "", "stream per-request JSONL trace spans (run-labelled) to this file")
-		faults       = flag.String("faults", "crash,partition,link,seqkill", "chaos fault kinds to inject (comma list of crash, partition, link, seqkill)")
-		chaosRuns    = flag.Int("chaos-runs", 4, "number of seeded chaos runs (seeds seed..seed+n-1)")
-		loadmaxJSON  = flag.String("loadmax-json", "", "also write the loadmax result as JSON to this file (BENCH_loadmax.json)")
-		loadmaxQuick = flag.Bool("loadmax-quick", false, "shrink the loadmax ramp for smoke runs (shorter steps, lower top rate)")
-		shards       = flag.String("shards", "", "shard counts for the shardmax ramp, comma list (default 1,2,4)")
-		shardmaxJSON = flag.String("shardmax-json", "", "also write the shardmax report as JSON to this file (BENCH_shardmax.json)")
-		shardmaxQk   = flag.Bool("shardmax-quick", false, "shrink the shardmax ramp for smoke runs (fewer clients, shorter steps)")
-		livemaxJSON  = flag.String("livemax-json", "", "also write the livemax report as JSON to this file (BENCH_livemax.json)")
-		livemaxQuick = flag.Bool("livemax-quick", false, "shrink the livemax ramp for smoke runs (two rates, short wall-clock windows, no sim comparison)")
-		livemaxShard = flag.Int("livemax-shards", 0, "shard count for the livemax serving process (default 1)")
+		which     = flag.String("experiment", "all", "experiment id: fig3, fig4a, fig4b, lui, reqdelay, baselines, hotspot, failover, calibration, groupsplit, window, estimator, scalability, loss, arrivals, chaos, loadmax, shardmax, shardchaos, livemax, all")
+		requests  = flag.Int("requests", 1000, "requests per client per run (paper: 1000)")
+		seed      = flag.Int64("seed", 2002, "base random seed")
+		iters     = flag.Int("iters", 2000, "iterations per fig3 measurement point")
+		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count (1 = sequential; output is identical either way)")
+		progress  = flag.Bool("progress", true, "report per-point sweep progress on stderr")
+		obsPath   = flag.String("obs", "", "write an aggregated Prometheus-text metrics snapshot of all runs to this file")
+		tracePath = flag.String("trace", "", "stream per-request JSONL trace spans (run-labelled) to this file")
+		faults    = flag.String("faults", "crash,partition,link,seqkill", "chaos fault kinds to inject (comma list of crash, partition, link, seqkill)")
+		chaosRuns = flag.Int("chaos-runs", 4, "number of seeded chaos runs (seeds seed..seed+n-1)")
+		jsonPath  = flag.String("json", "", "ramp experiments (loadmax, shardmax, livemax): also write the JSON artifact to this file")
+		quick     = flag.Bool("quick", false, "ramp experiments: shrink the ramp for smoke runs (fewer rates, shorter windows)")
+		shards    = flag.String("shards", "", "shard counts: a comma list for shardmax (default 1,2,4), one count for livemax (default 1)")
 	)
 	flag.Parse()
 
@@ -58,7 +55,7 @@ func main() {
 		})
 	}
 
-	if err := run(*which, *requests, *seed, *iters, *obsPath, *tracePath, *faults, *chaosRuns, *loadmaxJSON, *loadmaxQuick, *shards, *shardmaxJSON, *shardmaxQk, *livemaxJSON, *livemaxQuick, *livemaxShard); err != nil {
+	if err := run(*which, *requests, *seed, *iters, *obsPath, *tracePath, *faults, *chaosRuns, *jsonPath, *quick, *shards); err != nil {
 		fmt.Fprintln(os.Stderr, "aquabench:", err)
 		os.Exit(1)
 	}
@@ -114,35 +111,10 @@ func runChaos(out *os.File, requests int, seed int64, faultSpec string, runs int
 	return nil
 }
 
-// runLoadmax executes the heavy-traffic ramp (baseline vs batched in one
-// sweep), prints the table, and optionally writes the JSON artifact.
-func runLoadmax(out *os.File, seed int64, jsonPath string, quick bool) error {
-	cfg := experiment.LoadmaxConfig{Seed: seed}
-	if quick {
-		cfg.Clients = 2000
-		cfg.Rates = []float64{1000, 4000, 16000}
-		cfg.Warmup = 200 * time.Millisecond
-		cfg.StepDuration = 500 * time.Millisecond
-	}
-	pair := experiment.RunLoadmaxPair(cfg)
-	experiment.WriteLoadmaxTable(out, pair)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return fmt.Errorf("-loadmax-json: %w", err)
-		}
-		defer f.Close()
-		if err := experiment.WriteLoadmaxJSON(f, pair); err != nil {
-			return fmt.Errorf("-loadmax-json: %w", err)
-		}
-	}
-	return nil
-}
-
-// parseShards maps the -shards comma list onto shard counts for the ramp.
+// parseShards maps the -shards comma list onto shard counts.
 func parseShards(spec string) ([]int, error) {
 	if spec == "" {
-		return nil, nil // ShardmaxConfig's default
+		return nil, nil // the experiment's default
 	}
 	var out []int
 	for _, f := range strings.Split(spec, ",") {
@@ -155,67 +127,62 @@ func parseShards(spec string) ([]int, error) {
 	return out, nil
 }
 
-// runShardmax executes the sharded scale-out ramp, prints the table, and
-// optionally writes the JSON artifact.
-func runShardmax(out *os.File, seed int64, shardsSpec, jsonPath string, quick bool) error {
+// runRamp executes one ramp experiment, prints its table, and optionally
+// writes its JSON artifact. loadmax runs baseline vs batched ordering in
+// one sweep, shardmax one ramp per shard count; livemax runs the legacy vs
+// optimized hot path over TCP loopback and, unlike the virtual-time ramps,
+// consumes real wall clock and real cores.
+func runRamp(out *os.File, which string, seed int64, jsonPath string, quick bool, shardsSpec string) error {
 	counts, err := parseShards(shardsSpec)
 	if err != nil {
 		return fmt.Errorf("-shards: %w", err)
 	}
-	cfg := experiment.ShardmaxConfig{Seed: seed, Shards: counts}
-	if quick {
-		cfg.Clients = 2000
-		cfg.Rates = []float64{16000, 64000, 128000}
-		cfg.Warmup = 200 * time.Millisecond
-		cfg.StepDuration = 500 * time.Millisecond
+	var writeJSON func(io.Writer) error
+	switch which {
+	case "loadmax":
+		cfg := experiment.LoadmaxConfig{Seed: seed}
+		if quick {
+			cfg = cfg.Quick()
+		}
+		pair := experiment.RunLoadmaxPair(cfg)
+		experiment.WriteLoadmaxTable(out, pair)
+		writeJSON = func(w io.Writer) error { return experiment.WriteLoadmaxJSON(w, pair) }
+	case "shardmax":
+		cfg := experiment.ShardmaxConfig{Seed: seed}
+		if quick {
+			cfg = cfg.Quick()
+		}
+		if counts != nil {
+			cfg.Shards = counts
+		}
+		rep := experiment.RunShardmax(cfg)
+		experiment.WriteShardmaxTable(out, rep)
+		writeJSON = func(w io.Writer) error { return experiment.WriteShardmaxJSON(w, rep) }
+	case "livemax":
+		if len(counts) > 1 {
+			return fmt.Errorf("-shards: livemax takes one shard count, got %q", shardsSpec)
+		}
+		cfg := experiment.LivemaxConfig{Seed: seed, SimCompare: true}
+		if counts != nil {
+			cfg.Shards = counts[0]
+		}
+		if quick {
+			cfg = cfg.Quick()
+		}
+		rep := experiment.RunLivemax(cfg)
+		experiment.WriteLivemaxTable(out, rep)
+		writeJSON = func(w io.Writer) error { return experiment.WriteLivemaxJSON(w, rep) }
 	}
-	rep := experiment.RunShardmax(cfg)
-	experiment.WriteShardmaxTable(out, rep)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return fmt.Errorf("-shardmax-json: %w", err)
-		}
-		defer f.Close()
-		if err := experiment.WriteShardmaxJSON(f, rep); err != nil {
-			return fmt.Errorf("-shardmax-json: %w", err)
-		}
+	if jsonPath == "" {
+		return nil
 	}
-	return nil
-}
-
-// runLivemax executes the live-cluster ramp over TCP loopback (legacy vs
-// optimized hot path in one invocation), prints the table, and optionally
-// writes the JSON artifact. Unlike the virtual-time experiments this one
-// consumes real wall clock and real cores.
-func runLivemax(out *os.File, seed int64, jsonPath string, quick bool, shards int) error {
-	cfg := experiment.LivemaxConfig{Seed: seed, Shards: shards, SimCompare: !quick}
-	if quick {
-		cfg.Rates = []float64{500, 2000}
-		cfg.Warmup = 150 * time.Millisecond
-		cfg.StepDuration = 400 * time.Millisecond
+	f, err := os.Create(jsonPath)
+	if err != nil {
+		return fmt.Errorf("-json: %w", err)
 	}
-	rep := experiment.RunLivemax(cfg, func(stage string, rate float64, legacy bool) {
-		mode := "optimized"
-		if legacy {
-			mode = "baseline"
-		}
-		if stage == "hotpath" {
-			fmt.Fprintf(os.Stderr, "aquabench: livemax hotpath pump, %s\n", mode)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "aquabench: livemax %s @ %.0f req/s\n", mode, rate)
-	})
-	experiment.WriteLivemaxTable(out, rep)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return fmt.Errorf("-livemax-json: %w", err)
-		}
-		defer f.Close()
-		if err := experiment.WriteLivemaxJSON(f, rep); err != nil {
-			return fmt.Errorf("-livemax-json: %w", err)
-		}
+	defer f.Close()
+	if err := writeJSON(f); err != nil {
+		return fmt.Errorf("-json: %w", err)
 	}
 	return nil
 }
@@ -244,7 +211,7 @@ func runShardChaos(out *os.File, seed int64, runs int) error {
 	return nil
 }
 
-func run(which string, requests int, seed int64, iters int, obsPath, tracePath, faultSpec string, chaosRuns int, loadmaxJSON string, loadmaxQuick bool, shardsSpec, shardmaxJSON string, shardmaxQuick bool, livemaxJSON string, livemaxQuick bool, livemaxShards int) error {
+func run(which string, requests int, seed int64, iters int, obsPath, tracePath, faultSpec string, chaosRuns int, jsonPath string, quick bool, shardsSpec string) error {
 	base := experiment.Fig4Config{
 		Seed:     seed,
 		Deadline: 140 * time.Millisecond,
@@ -414,39 +381,22 @@ func run(which string, requests int, seed int64, iters int, obsPath, tracePath, 
 		}
 		fmt.Fprintln(out)
 	}
-	// Loadmax is likewise excluded from "all": it is a throughput benchmark
-	// on a different (open-loop) workload, recorded in BENCH_loadmax.json
-	// rather than the paper-results file.
-	if which == "loadmax" {
+	// The ramps are likewise excluded from "all": they are throughput
+	// benchmarks on a different (open-loop) workload, recorded in their
+	// BENCH_*.json artifacts rather than the paper-results file. Livemax
+	// has a stronger reason still: it measures wall-clock throughput over
+	// real sockets, so its numbers depend on the machine.
+	if which == "loadmax" || which == "shardmax" || which == "livemax" {
 		ran = true
-		if err := runLoadmax(out, seed, loadmaxJSON, loadmaxQuick); err != nil {
+		if err := runRamp(out, which, seed, jsonPath, quick, shardsSpec); err != nil {
 			return err
 		}
 		fmt.Fprintln(out)
 	}
-	// Shardmax and shardchaos follow the same rule: scale-out benchmarks and
-	// protocol audits live in their own artifacts (BENCH_shardmax.json), not
-	// the paper-results file.
-	if which == "shardmax" {
-		ran = true
-		if err := runShardmax(out, seed, shardsSpec, shardmaxJSON, shardmaxQuick); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
+	// Shardchaos follows the same rule: a protocol audit, not a paper table.
 	if which == "shardchaos" {
 		ran = true
 		if err := runShardChaos(out, seed, chaosRuns); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	// Livemax is excluded from "all" for a stronger reason than the other
-	// benchmarks: it measures wall-clock throughput over real sockets, so
-	// its numbers depend on the machine. It lives in BENCH_livemax.json.
-	if which == "livemax" {
-		ran = true
-		if err := runLivemax(out, seed, livemaxJSON, livemaxQuick, livemaxShards); err != nil {
 			return err
 		}
 		fmt.Fprintln(out)

@@ -402,18 +402,35 @@ func (g *Gateway) applySuspicion(in *selection.Input, now time.Time) {
 	}
 }
 
+// track remembers p, evicting the oldest entries past MaxPending. A victim
+// still unanswered fails back to its caller with an unknown outcome, so
+// every invocation gets its one callback. The callbacks run after the loop:
+// one that re-enters Invoke must not change pendingOrder while it is walked.
 func (g *Gateway) track(p *pendingReq) {
 	g.pending[p.id] = p
 	g.pendingOrder = append(g.pendingOrder, p.id)
+	var unanswered []*pendingReq
 	for len(g.pendingOrder) > g.cfg.MaxPending {
 		victimID := g.pendingOrder[0]
 		g.pendingOrder = g.pendingOrder[1:]
 		if victim, ok := g.pending[victimID]; ok {
+			if !victim.done {
+				unanswered = append(unanswered, victim)
+			}
 			victim.done = true
 			if victim.stopRetry != nil {
 				victim.stopRetry()
 			}
 			delete(g.pending, victimID)
+		}
+	}
+	for _, v := range unanswered {
+		if v.cb != nil {
+			v.cb(Result{
+				Err:          "aqua: evicted from the pending table unanswered; outcome unknown",
+				ResponseTime: g.ctx.Now().Sub(v.t0),
+				Selected:     v.selected,
+			})
 		}
 	}
 }

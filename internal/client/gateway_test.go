@@ -341,6 +341,30 @@ func TestClientPendingPrune(t *testing.T) {
 	}
 }
 
+// An unanswered request evicted from the pending table must still get its
+// one callback, with an error: 10 unanswered invokes through a 4-entry
+// table evict the oldest 6.
+func TestClientEvictionReportsUnanswered(t *testing.T) {
+	cfg := baseConfig()
+	cfg.MaxPending = 4
+	f := newFixture(10, cfg)
+	f.rt.Start()
+	var errs, oks int
+	for i := 0; i < 10; i++ {
+		f.invoke("Set", []byte("a=1"), func(r Result) {
+			if r.Err != "" {
+				errs++
+			} else {
+				oks++
+			}
+		})
+	}
+	f.s.RunFor(100 * ms) // before the first retry
+	if errs != 6 || oks != 0 {
+		t.Fatalf("callbacks: %d errors, %d replies; want 6 errors, 0 replies", errs, oks)
+	}
+}
+
 func TestClientUnknownReplyIgnored(t *testing.T) {
 	f := newFixture(11, baseConfig())
 	f.rt.Start()

@@ -18,24 +18,26 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
 	"time"
-
-	"aqua/internal/app"
-	"aqua/internal/apps"
-	"aqua/internal/core"
-	"aqua/internal/group"
-	"aqua/internal/live"
-	"aqua/internal/node"
-	"aqua/internal/shard"
-	"aqua/internal/tcpnet"
-	"aqua/internal/workload"
 )
 
 // LivemaxConfig parameterizes the live offered-load ramp.
+//
+// Defaults differ from the sim ramps where every hop being a real socket
+// round trip competing for real cores demands it: 2 primaries (+
+// sequencer) and 1 secondary, 512 clients, 1024-byte update values (the
+// sim ramps keep their tiny payloads, which is part of why live and sim
+// ceilings differ), a 50ms deadline that absorbs scheduler and GC noise
+// the simulator does not have, rates ×1.5 from 1000 to ~26000/s (finer
+// than the sim's ×2 ladder so the peak ratio is not quantized to powers of
+// two), arrival timers coalesced to 10ms (even so, measured issuance runs
+// a few percent under the offered rate, which is why points report issued
+// counts), and no modelled sequencer cost. Both modes run batched: the
+// baseline here is the runtime/transport hot path, not the ordering
+// protocol.
 type LivemaxConfig struct {
 	Seed int64
 
@@ -44,59 +46,9 @@ type LivemaxConfig struct {
 	// point of the parallel node runtime is that they actually run
 	// concurrently on its goroutines.
 	Shards int
-	// Primaries counts serving primaries (the sequencer is extra);
-	// Secondaries the secondary group. Defaults 2 and 1 — a leaner
-	// replica set than the sim ramps, because every hop here is a real
-	// socket round trip competing for real cores.
-	Primaries   int
-	Secondaries int
-	// LUI is the lazy update interval (default 100ms).
-	LUI time.Duration
 
-	// Clients is the simulated open-loop population (default 512).
-	Clients int
-	// ReadFraction is the read share of the offered stream (default 0.5).
-	ReadFraction float64
-	// Staleness is the read staleness bound a (default 0: sequential).
-	Staleness int
+	RampConfig
 
-	// UpdateBytes pads update payloads to this size (default 1024 — a
-	// representative KV value; the sim ramps keep their historical tiny
-	// payloads, which is part of why live and sim ceilings differ).
-	UpdateBytes int
-
-	// Deadline is the per-read deadline (default 50ms — wall-clock, so it
-	// absorbs scheduler and GC noise the simulator does not have);
-	// P99Bound the sustained criterion on windowed p99 read latency
-	// (default = Deadline); MaxFailureRate the bound on the windowed
-	// timing-failure rate (default 0.01).
-	Deadline       time.Duration
-	P99Bound       time.Duration
-	MaxFailureRate float64
-
-	// Rates is the offered-rate ramp in requests/second (default a
-	// geometric ×1.5 ladder 1000..~26000 — finer than the sim's ×2 ladder
-	// so the peak ratio is not quantized to powers of two).
-	Rates []float64
-	// Warmup elapses before the measurement window of each step; the
-	// window lasts StepDuration (defaults 500ms and 2s). Every step is an
-	// independent deployment over fresh sockets.
-	Warmup       time.Duration
-	StepDuration time.Duration
-
-	// AssignBatch/AssignBatchWindow configure batched GSN assignment
-	// (defaults 256 requests / 1ms window); both modes run batched — the
-	// baseline here is the runtime/transport hot path, not the ordering
-	// protocol.
-	AssignBatch       int
-	AssignBatchWindow time.Duration
-
-	// ArrivalCoalesce quantizes the generator's arrival timers (default
-	// 10ms): at tens of kilorequests/second one runtime timer per arrival
-	// would make the generator the bottleneck — even at 10ms, measured
-	// issuance runs a few percent under the offered rate, which is why
-	// the points report issued counts. Applied to both modes.
-	ArrivalCoalesce time.Duration
 	// SendQueue is the per-peer transport ring capacity (default 8192) —
 	// sized so bursts ride the ring instead of shedding onto the
 	// retransmit path.
@@ -104,7 +56,7 @@ type LivemaxConfig struct {
 
 	// SimCompare runs the virtual-time loadmax ramp (batched mode, same
 	// seed) in the same invocation and reports its predicted ceiling next
-	// to the measured live one (default on; quick smokes disable it).
+	// to the measured live one (Quick turns it off).
 	SimCompare bool
 	// SimRates overrides the sim comparison ramp (default: the loadmax
 	// defaults).
@@ -112,76 +64,47 @@ type LivemaxConfig struct {
 }
 
 func (c *LivemaxConfig) setDefaults() {
-	if c.Shards == 0 {
-		c.Shards = 1
+	orDefault(&c.Shards, 1)
+	orDefault(&c.SendQueue, 8192)
+	d := rampDefaults()
+	d.Primaries = 2
+	d.Secondaries = 1
+	d.Clients = 512
+	d.UpdateBytes = 1024
+	d.Deadline = 50 * time.Millisecond
+	d.Rates = []float64{1000, 1500, 2250, 3400, 5100, 7700, 11500, 17000, 26000}
+	d.SeqCostBase, d.SeqCostPerReq = 0, 0
+	d.ArrivalCoalesce = 10 * time.Millisecond
+	c.fill(d)
+}
+
+// Quick shrinks the ramp to CI scale: two low rates, short wall-clock
+// windows, no sim comparison. The point is that the live plumbing (two
+// runtimes, loopback sockets, engine, shard deployment, teardown) works,
+// not where the ceiling is.
+func (c LivemaxConfig) Quick() LivemaxConfig {
+	c.Rates = []float64{500, 2000}
+	c.Warmup = 100 * time.Millisecond
+	c.StepDuration = 300 * time.Millisecond
+	c.SimCompare = false
+	return c
+}
+
+// target is the live loopback target on the optimized or legacy hot path.
+// Sharded deployments route per key over 1024 uniform keys.
+func (c LivemaxConfig) target(legacy bool) rampTarget {
+	sh := rampShape{shards: c.Shards}
+	if c.Shards > 1 {
+		sh.keys = 1024
 	}
-	if c.Primaries == 0 {
-		c.Primaries = 2
-	}
-	if c.Secondaries == 0 {
-		c.Secondaries = 1
-	}
-	if c.LUI == 0 {
-		c.LUI = 100 * time.Millisecond
-	}
-	if c.Clients == 0 {
-		c.Clients = 512
-	}
-	if c.ReadFraction == 0 {
-		c.ReadFraction = 0.5
-	}
-	if c.UpdateBytes == 0 {
-		c.UpdateBytes = 1024
-	}
-	if c.Deadline == 0 {
-		c.Deadline = 50 * time.Millisecond
-	}
-	if c.P99Bound == 0 {
-		c.P99Bound = c.Deadline
-	}
-	if c.MaxFailureRate == 0 {
-		c.MaxFailureRate = 0.01
-	}
-	if len(c.Rates) == 0 {
-		c.Rates = []float64{1000, 1500, 2250, 3400, 5100, 7700, 11500, 17000, 26000}
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 500 * time.Millisecond
-	}
-	if c.StepDuration == 0 {
-		c.StepDuration = 2 * time.Second
-	}
-	if c.AssignBatch == 0 {
-		c.AssignBatch = 256
-	}
-	if c.AssignBatchWindow == 0 {
-		c.AssignBatchWindow = time.Millisecond
-	}
-	if c.ArrivalCoalesce == 0 {
-		c.ArrivalCoalesce = 10 * time.Millisecond
-	}
-	if c.SendQueue == 0 {
-		c.SendQueue = 8192
-	}
+	return liveTarget{sh, c.Seed, c.SendQueue, legacy}
 }
 
 // LivemaxPoint is one measured step of the live ramp.
 type LivemaxPoint struct {
 	OfferedRate float64 `json:"offered_rate"`
 	Legacy      bool    `json:"legacy"`
-
-	Issued    uint64 `json:"issued"`
-	Completed uint64 `json:"completed"`
-	Shed      uint64 `json:"shed"`
-	Expired   uint64 `json:"expired"`
-
-	UpdatesPerSec float64 `json:"updates_per_sec"`
-	ReadsPerSec   float64 `json:"reads_per_sec"`
-
-	ReadP50MS   float64 `json:"read_p50_ms"`
-	ReadP99MS   float64 `json:"read_p99_ms"`
-	UpdateP99MS float64 `json:"update_p99_ms"`
-	FailureRate float64 `json:"failure_rate"`
+	RampWindow
 
 	// FastServed counts frontier fast-path reads across serving replicas
 	// (whole run).
@@ -190,14 +113,39 @@ type LivemaxPoint struct {
 	Sustained bool `json:"sustained"`
 }
 
+func (p LivemaxPoint) row() rampStep {
+	return rampStep{rate: p.OfferedRate, RampWindow: p.RampWindow, sustained: p.Sustained}
+}
+
+func livemaxPoint(legacy bool, s rampStep) LivemaxPoint {
+	return LivemaxPoint{
+		OfferedRate: s.rate,
+		Legacy:      legacy,
+		RampWindow:  s.RampWindow,
+		FastServed:  s.fastServed,
+		Sustained:   s.sustained,
+	}
+}
+
+// RunLivemaxPoint runs one live step at rate on the chosen hot path.
+func RunLivemaxPoint(cfg LivemaxConfig, rate float64, legacy bool) LivemaxPoint {
+	cfg.setDefaults()
+	return livemaxPoint(legacy, cfg.target(legacy).run(cfg.RampConfig, rate))
+}
+
 // LivemaxResult is one hot-path mode's ramp with its peak sustained point.
 type LivemaxResult struct {
 	Legacy bool           `json:"legacy"`
 	Points []LivemaxPoint `json:"points"`
+	RampPeak
+}
 
-	PeakRate          float64 `json:"peak_rate"`
-	PeakUpdatesPerSec float64 `json:"peak_updates_per_sec"`
-	PeakReadsPerSec   float64 `json:"peak_reads_per_sec"`
+func livemaxResult(legacy bool, steps []rampStep) LivemaxResult {
+	res := LivemaxResult{Legacy: legacy, RampPeak: peakOf(steps)}
+	for _, s := range steps {
+		res.Points = append(res.Points, livemaxPoint(legacy, s))
+	}
+	return res
 }
 
 // LivemaxHotpath is the serving-stack isolation stage of the report: both
@@ -211,9 +159,9 @@ type LivemaxHotpath struct {
 }
 
 // LivemaxReport is the whole artifact: the legacy-hot-path baseline and the
-// optimized ramp from the same invocation, their speedup, the hot-path
-// pump stage, and the sim-predicted loadmax ceiling for the
-// model-vs-reality row.
+// optimized ramp from the same invocation, the optimized ramp's speedup
+// over the baseline, the hot-path pump stage, and the sim-predicted
+// loadmax ceiling for the model-vs-reality row.
 type LivemaxReport struct {
 	Config LivemaxConfig `json:"config"`
 
@@ -228,11 +176,7 @@ type LivemaxReport struct {
 
 	Baseline  LivemaxResult `json:"baseline"`
 	Optimized LivemaxResult `json:"optimized"`
-
-	// SpeedupUpdates is optimized peak sustained updates/sec over the
-	// legacy baseline's; SpeedupRate the same ratio on offered peak rate.
-	SpeedupUpdates float64 `json:"speedup_updates"`
-	SpeedupRate    float64 `json:"speedup_rate"`
+	RampSpeedup
 
 	// Hotpath is the closed-loop pump stage over the same serving stack.
 	Hotpath LivemaxHotpath `json:"hotpath"`
@@ -245,189 +189,29 @@ type LivemaxReport struct {
 	LiveVsSimUpdates     float64 `json:"live_vs_sim_updates,omitempty"`
 }
 
-// RunLivemaxPoint executes one live step: deploy the service on one live
-// runtime and the workload engine on another, connect them over TCP
-// loopback, warm up, measure one wall-clock window, tear down.
-func RunLivemaxPoint(cfg LivemaxConfig, rate float64, legacy bool) LivemaxPoint {
-	cfg.setDefaults()
-
-	liveOpts := []live.Option{live.WithSeed(cfg.Seed)}
-	trOpts := []tcpnet.Option{tcpnet.WithSendQueue(cfg.SendQueue)}
-	if legacy {
-		liveOpts = append(liveOpts, live.WithLegacyHotPath())
-		trOpts = append(trOpts, tcpnet.WithLegacyInbound())
-	}
-	rtS := live.NewRuntime(liveOpts...) // serving process
-	rtC := live.NewRuntime(liveOpts...) // generator process
-	trS, err := tcpnet.New(rtS, "127.0.0.1:0", nil, trOpts...)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: livemax listen: %v", err))
-	}
-	trC, err := tcpnet.New(rtC, "127.0.0.1:0", nil, trOpts...)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: livemax listen: %v", err))
-	}
-
-	svc := core.ServiceConfig{
-		Primaries:         cfg.Primaries + 1, // + sequencer
-		Secondaries:       cfg.Secondaries,
-		LazyInterval:      cfg.LUI,
-		Group:             group.DefaultConfig(),
-		NewApp:            func() app.Application { return apps.NewKVStore() },
-		AssignBatch:       cfg.AssignBatch,
-		AssignBatchWindow: cfg.AssignBatchWindow,
-		FastReads:         true,
-	}
-	sd, err := core.DeployShards(rtS, svc, cfg.Shards, nil)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: livemax deploy: %v", err)) // static config bug
-	}
-
-	// Address wiring: the generator reaches every replica at the serving
-	// process's listener; replicas reach the engine at the generator's.
-	const engineID = node.ID("load")
-	for _, d := range sd.Shards {
-		for _, id := range d.PrimaryGroup {
-			trC.AddPeer(id, trS.Addr())
-		}
-		for _, id := range d.Secondaries {
-			trC.AddPeer(id, trS.Addr())
-		}
-	}
-	trS.AddPeer(engineID, trC.Addr())
-	rtS.SetRemote(trS.Send)
-	rtC.SetRemote(trC.Send)
-
-	ecfg := workload.EngineConfig{
-		Clients:         cfg.Clients,
-		Arrivals:        workload.Poisson{Rate: rate},
-		ArrivalCoalesce: cfg.ArrivalCoalesce,
-		UpdatePad:       cfg.UpdateBytes,
-		ReadFraction:    cfg.ReadFraction,
-		Staleness:       cfg.Staleness,
-		Deadline:        cfg.Deadline,
-	}
-	if cfg.Shards > 1 {
-		m := shard.NewUniform(cfg.Shards)
-		ecfg.Shards = sd.Infos
-		ecfg.ShardOf = m.Owner
-		ecfg.Keys = &workload.UniformKeys{N: 1024}
-	} else {
-		ecfg.Service = sd.Infos[0]
-	}
-	eng := workload.NewEngine(ecfg)
-	rtC.Register(engineID, eng)
-
-	rtS.Start()
-	rtC.Start()
-
-	time.Sleep(cfg.Warmup)
-	before := eng.Metrics()
-	time.Sleep(cfg.StepDuration)
-	w := eng.Metrics().Sub(before)
-
-	rtC.Stop()
-	rtS.Stop()
-	trC.Close()
-	trS.Close()
-
-	secs := cfg.StepDuration.Seconds()
-	p := LivemaxPoint{
-		OfferedRate:   rate,
-		Legacy:        legacy,
-		Issued:        w.Issued,
-		Completed:     w.Completed,
-		Shed:          w.Shed,
-		Expired:       w.Expired,
-		UpdatesPerSec: float64(w.UpdatesDone) / secs,
-		ReadsPerSec:   float64(w.ReadsDone) / secs,
-		ReadP50MS:     durMS(w.ReadLatency.Quantile(0.50)),
-		ReadP99MS:     durMS(w.ReadLatency.Quantile(0.99)),
-		UpdateP99MS:   durMS(w.UpdateLatency.Quantile(0.99)),
-	}
-	for _, d := range sd.Shards {
-		for _, id := range d.ServingPrimaries {
-			p.FastServed += d.Replicas[id].FastServed()
-		}
-	}
-	if denom := w.ReadsDone + w.Expired; denom > 0 {
-		p.FailureRate = float64(w.TimingFailures) / float64(denom)
-	}
-	p.Sustained = w.Shed == 0 &&
-		p.FailureRate <= cfg.MaxFailureRate &&
-		p.ReadP99MS <= durMS(cfg.P99Bound) &&
-		w.ReadsDone > 0 && w.UpdatesDone > 0
-	return p
-}
-
-// RunLivemaxRamp walks one mode's ramp sequentially — wall-clock
-// measurements must not share the machine with each other — stopping two
-// consecutive non-sustained steps past the peak (overload only gets worse
-// with offered rate; the tail would be dead time). progress, if non-nil,
-// is called before each step.
-func RunLivemaxRamp(cfg LivemaxConfig, legacy bool, progress func(stage string, rate float64, legacy bool)) LivemaxResult {
-	cfg.setDefaults()
-	res := LivemaxResult{Legacy: legacy}
-	failStreak := 0
-	for _, rate := range cfg.Rates {
-		if progress != nil {
-			progress("ramp", rate, legacy)
-		}
-		p := RunLivemaxPoint(cfg, rate, legacy)
-		res.Points = append(res.Points, p)
-		if p.Sustained {
-			failStreak = 0
-			if p.OfferedRate > res.PeakRate {
-				res.PeakRate = p.OfferedRate
-				res.PeakUpdatesPerSec = p.UpdatesPerSec
-				res.PeakReadsPerSec = p.ReadsPerSec
-			}
-		} else {
-			failStreak++
-			if failStreak >= 2 {
-				break
-			}
-		}
-	}
-	return res
-}
-
 // RunLivemax measures both hot paths in one invocation — legacy first, then
 // optimized, for the full-service ramp and then the hot-path pump — and
-// attaches the sim-predicted loadmax ceiling when configured.
-func RunLivemax(cfg LivemaxConfig, progress func(stage string, rate float64, legacy bool)) LivemaxReport {
+// attaches the sim-predicted loadmax ceiling as one more sim arm when
+// configured.
+func RunLivemax(cfg LivemaxConfig) LivemaxReport {
 	cfg.setDefaults()
 	rep := LivemaxReport{Config: cfg, GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	rep.Baseline = RunLivemaxRamp(cfg, true, progress)
-	rep.Optimized = RunLivemaxRamp(cfg, false, progress)
-	if rep.Baseline.PeakUpdatesPerSec > 0 {
-		rep.SpeedupUpdates = rep.Optimized.PeakUpdatesPerSec / rep.Baseline.PeakUpdatesPerSec
-	}
-	if rep.Baseline.PeakRate > 0 {
-		rep.SpeedupRate = rep.Optimized.PeakRate / rep.Baseline.PeakRate
-	}
-	if progress != nil {
-		progress("hotpath", 0, true)
-	}
+	runs := runRamp(cfg.RampConfig, cfg.target(true), cfg.target(false))
+	rep.Baseline, rep.Optimized = livemaxResult(true, runs[0]), livemaxResult(false, runs[1])
+	rep.RampSpeedup = rep.Optimized.over(rep.Baseline.RampPeak)
 	rep.Hotpath.Baseline = RunHotpathPoint(cfg, true)
-	if progress != nil {
-		progress("hotpath", 0, false)
-	}
 	rep.Hotpath.Optimized = RunHotpathPoint(cfg, false)
 	if rep.Hotpath.Baseline.UpdatesPerSec > 0 {
 		rep.Hotpath.Speedup = rep.Hotpath.Optimized.UpdatesPerSec / rep.Hotpath.Baseline.UpdatesPerSec
 	}
 	if cfg.SimCompare {
 		simCfg := LoadmaxConfig{Seed: cfg.Seed}
-		if len(cfg.SimRates) > 0 {
-			simCfg.Rates = cfg.SimRates
-		}
-		simRes := RunLoadmax(simCfg, true)
-		rep.SimPeakRate = simRes.PeakRate
-		rep.SimPeakUpdatesPerSec = simRes.PeakUpdatesPerSec
-		if simRes.PeakUpdatesPerSec > 0 {
-			rep.LiveVsSimUpdates = rep.Optimized.PeakUpdatesPerSec / simRes.PeakUpdatesPerSec
-		}
+		simCfg.Rates = cfg.SimRates
+		simCfg.setDefaults()
+		sim := peakOf(runRamp(simCfg.RampConfig, simCfg.target(true))[0])
+		rep.SimPeakRate = sim.PeakRate
+		rep.SimPeakUpdatesPerSec = sim.PeakUpdatesPerSec
+		rep.LiveVsSimUpdates = rep.Optimized.over(sim).SpeedupUpdates
 	}
 	return rep
 }
@@ -435,24 +219,14 @@ func RunLivemax(cfg LivemaxConfig, progress func(stage string, rate float64, leg
 // WriteLivemaxTable renders both live ramps and the sim comparison row.
 func WriteLivemaxTable(w io.Writer, rep LivemaxReport) {
 	fmt.Fprintln(w, "Livemax — peak sustained live throughput over TCP loopback, optimized hot path vs pre-optimization baseline")
-	fmt.Fprintf(w, "(wall-clock; bounds: read p99 <= %.1fms, failure rate <= %.3f, no shed; %d shard(s), %d+1 primaries, %d secondaries)\n\n",
-		durMS(rep.Config.P99Bound), rep.Config.MaxFailureRate,
-		rep.Config.Shards, rep.Config.Primaries, rep.Config.Secondaries)
+	fmt.Fprintf(w, "(wall-clock; %s; %d shard(s), %d+1 primaries, %d secondaries)\n\n",
+		rep.Config.bounds(), rep.Config.Shards, rep.Config.Primaries, rep.Config.Secondaries)
 	for _, res := range []LivemaxResult{rep.Baseline, rep.Optimized} {
 		mode := "optimized (batched mailbox, zero-copy inbound, vectored flush)"
 		if res.Legacy {
 			mode = "baseline (legacy mailbox + per-frame inbound)"
 		}
-		fmt.Fprintf(w, "%s\n", mode)
-		fmt.Fprintf(w, "%-12s %10s %10s %8s %8s %10s %10s %10s %5s\n",
-			"offered/s", "upd/s", "reads/s", "shed", "expired", "p50(ms)", "p99(ms)", "failRate", "ok")
-		for _, p := range res.Points {
-			fmt.Fprintf(w, "%-12.0f %10.0f %10.0f %8d %8d %10.2f %10.2f %10.4f %5v\n",
-				p.OfferedRate, p.UpdatesPerSec, p.ReadsPerSec, p.Shed, p.Expired,
-				p.ReadP50MS, p.ReadP99MS, p.FailureRate, p.Sustained)
-		}
-		fmt.Fprintf(w, "peak: %.0f offered/s (%.0f upd/s, %.0f reads/s)\n\n",
-			res.PeakRate, res.PeakUpdatesPerSec, res.PeakReadsPerSec)
+		writeRamp(w, mode, rampCols{expired: true}, res.Points, res.RampPeak, "")
 	}
 	fmt.Fprintf(w, "speedup: %.2fx peak sustained updates/sec, %.2fx peak offered rate (host GOMAXPROCS=%d)\n",
 		rep.SpeedupUpdates, rep.SpeedupRate, rep.GOMAXPROCS)
@@ -476,9 +250,7 @@ func WriteLivemaxTable(w io.Writer, rep LivemaxReport) {
 
 // WriteLivemaxJSON writes the report as indented JSON (BENCH_livemax.json).
 func WriteLivemaxJSON(w io.Writer, rep LivemaxReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
+	return writeJSON(w, struct {
 		Experiment string `json:"experiment"`
 		LivemaxReport
 	}{Experiment: "livemax", LivemaxReport: rep})

@@ -291,7 +291,14 @@ func metricKey(name string, labels []string) string {
 	return k
 }
 
-func (r *Registry) intern(name string, kind Kind, labels []string) *metric {
+// intern returns the instrument registered under (name, labels), creating
+// it under the lock on first use so concurrent first callers all get the
+// same one. A view forwards to its root with its base labels prepended.
+// bounds applies to histograms only.
+func (r *Registry) intern(name string, kind Kind, bounds []float64, labels []string) *metric {
+	if r.root != nil {
+		return r.root.intern(name, kind, bounds, r.withBase(labels))
+	}
 	if len(labels)%2 != 0 {
 		panic(fmt.Sprintf("obs: %s: labels must be key/value pairs, got %d strings", name, len(labels)))
 	}
@@ -305,6 +312,20 @@ func (r *Registry) intern(name string, kind Kind, labels []string) *metric {
 		return m
 	}
 	m := &metric{name: name, labels: append([]string(nil), labels...), kind: kind}
+	switch kind {
+	case KindCounter:
+		m.counter = new(Counter)
+	case KindGauge:
+		m.gauge = new(Gauge)
+	case KindFloatCounter:
+		m.fcounter = new(FloatCounter)
+	case KindFloatGauge:
+		m.fgauge = new(FloatGauge)
+	case KindHistogram:
+		h := &Histogram{bounds: append([]float64(nil), bounds...)}
+		h.buckets = make([]atomic.Uint64, len(h.bounds)+1)
+		m.histogram = h
+	}
 	r.byKey[key] = m
 	r.ordered = append(r.ordered, m)
 	return m
@@ -316,14 +337,7 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	if r.root != nil {
-		return r.root.Counter(name, r.withBase(labels)...)
-	}
-	m := r.intern(name, KindCounter, labels)
-	if m.counter == nil {
-		m.counter = new(Counter)
-	}
-	return m.counter
+	return r.intern(name, KindCounter, nil, labels).counter
 }
 
 // Gauge returns (creating if needed) the named gauge.
@@ -331,14 +345,7 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	if r.root != nil {
-		return r.root.Gauge(name, r.withBase(labels)...)
-	}
-	m := r.intern(name, KindGauge, labels)
-	if m.gauge == nil {
-		m.gauge = new(Gauge)
-	}
-	return m.gauge
+	return r.intern(name, KindGauge, nil, labels).gauge
 }
 
 // FloatCounter returns (creating if needed) the named float counter.
@@ -346,14 +353,7 @@ func (r *Registry) FloatCounter(name string, labels ...string) *FloatCounter {
 	if r == nil {
 		return nil
 	}
-	if r.root != nil {
-		return r.root.FloatCounter(name, r.withBase(labels)...)
-	}
-	m := r.intern(name, KindFloatCounter, labels)
-	if m.fcounter == nil {
-		m.fcounter = new(FloatCounter)
-	}
-	return m.fcounter
+	return r.intern(name, KindFloatCounter, nil, labels).fcounter
 }
 
 // FloatGauge returns (creating if needed) the named float gauge.
@@ -361,14 +361,7 @@ func (r *Registry) FloatGauge(name string, labels ...string) *FloatGauge {
 	if r == nil {
 		return nil
 	}
-	if r.root != nil {
-		return r.root.FloatGauge(name, r.withBase(labels)...)
-	}
-	m := r.intern(name, KindFloatGauge, labels)
-	if m.fgauge == nil {
-		m.fgauge = new(FloatGauge)
-	}
-	return m.fgauge
+	return r.intern(name, KindFloatGauge, nil, labels).fgauge
 }
 
 // Histogram returns (creating if needed) the named histogram with the given
@@ -378,16 +371,7 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *H
 	if r == nil {
 		return nil
 	}
-	if r.root != nil {
-		return r.root.Histogram(name, bounds, r.withBase(labels)...)
-	}
-	m := r.intern(name, KindHistogram, labels)
-	if m.histogram == nil {
-		h := &Histogram{bounds: append([]float64(nil), bounds...)}
-		h.buckets = make([]atomic.Uint64, len(h.bounds)+1)
-		m.histogram = h
-	}
-	return m.histogram
+	return r.intern(name, KindHistogram, bounds, labels).histogram
 }
 
 // Bucket is one histogram bucket in a snapshot: the cumulative count of

@@ -187,6 +187,30 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 }
 
+// TestConcurrentCreation is the first-use race: goroutines creating the same
+// instrument on a fresh registry must all get one instrument, so no
+// increment lands on a copy that is then lost.
+func TestConcurrentCreation(t *testing.T) {
+	r := NewRegistry()
+	const workers = 8
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			r.Counter("x").Inc()
+		}()
+	}
+	wg.Wait()
+	snap := r.Snapshot()
+	if len(snap) != 1 {
+		t.Fatalf("registry holds %d instruments, want 1", len(snap))
+	}
+	if got := r.Counter("x").Value(); got != workers {
+		t.Fatalf("counter = %d, want %d", got, workers)
+	}
+}
+
 func TestTracerJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	epoch := time.Date(2002, time.June, 23, 0, 0, 0, 0, time.UTC)

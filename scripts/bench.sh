@@ -223,9 +223,10 @@ echo "wrote $wire_out"
 # the group-commit fast path, in the same run. aquabench writes the peak
 # sustained updates/sec + reads/sec for both modes and the speedup ratio
 # directly as JSON; TestBenchLoadmaxJSONWellFormed enforces the >= 3x
-# acceptance floor on speedup_updates in CI.
+# acceptance floor on speedup_updates in CI, and
+# TestBenchLoadmaxJSONRegenerates holds the file byte-identical to a rerun.
 go run ./cmd/aquabench -experiment loadmax -progress=false \
-	-loadmax-json BENCH_loadmax.json
+	-json BENCH_loadmax.json
 
 echo "wrote BENCH_loadmax.json"
 
@@ -236,9 +237,10 @@ echo "wrote BENCH_loadmax.json"
 # point is a share-nothing run at its own derived seed; the report records
 # per-shard completion counts and the peak sustained updates/sec per shard
 # count plus the speedup over the 1-shard ramp. TestBenchShardmaxJSONWellFormed
-# enforces the >= 2.5x acceptance floor on speedup_updates at 4 shards in CI.
+# enforces the >= 2.5x acceptance floor on speedup_updates at 4 shards in CI,
+# and CI regenerates the file and cmp's it against the checked-in one.
 go run ./cmd/aquabench -experiment shardmax -progress=false \
-	-shards 1,2,4 -shardmax-json BENCH_shardmax.json
+	-shards 1,2,4 -json BENCH_shardmax.json
 
 echo "wrote BENCH_shardmax.json"
 
@@ -253,6 +255,6 @@ echo "wrote BENCH_shardmax.json"
 # depends on it, because the optimized paths win on contention that a
 # single-core host cannot express (see EXPERIMENTS.md).
 go run ./cmd/aquabench -experiment livemax -progress=false \
-	-livemax-json BENCH_livemax.json
+	-json BENCH_livemax.json
 
 echo "wrote BENCH_livemax.json"
