@@ -116,6 +116,13 @@ func (c *Config) setDefaults() {
 	}
 }
 
+// Errors the gateway itself reports in Result.Err when no reply decided an
+// invocation, so the request may or may not have taken effect.
+const (
+	ErrNoReply = "aqua: no replica responded"
+	ErrEvicted = "aqua: evicted from the pending table unanswered; outcome unknown"
+)
+
 // Result reports one completed invocation to the application.
 type Result struct {
 	Payload []byte
@@ -130,6 +137,10 @@ type Result struct {
 	// Replica is the gateway whose reply was delivered (the first).
 	Replica node.ID
 }
+
+// Unanswered reports whether r failed without a reply (ErrNoReply or
+// ErrEvicted), as opposed to an error a replica returned.
+func (r Result) Unanswered() bool { return r.Err == ErrNoReply || r.Err == ErrEvicted }
 
 // Metrics aggregates a client gateway's observations, read by experiments.
 type Metrics struct {
@@ -254,8 +265,10 @@ func (g *Gateway) handleDelivery(from node.ID, m node.Message) {
 // Invoke issues a request. It must be called from within this node's
 // callbacks (a timer or message handler) — workload drivers wrap the
 // gateway and schedule their calls through the node's own timers. cb is
-// invoked exactly once: with the first reply, or with an error Result
-// after MaxRetries unanswered retransmissions.
+// invoked exactly once, never from inside Invoke: with the first reply,
+// with ErrNoReply after MaxRetries unanswered retransmissions, or with
+// ErrEvicted if MaxPending newer requests push it out of the pending table
+// first.
 func (g *Gateway) Invoke(method string, payload []byte, cb func(Result)) {
 	g.invoke(method, payload, g.cfg.Spec.Staleness, cb)
 }
@@ -354,7 +367,7 @@ func (g *Gateway) retry(p *pendingReq) {
 	if p.attempts >= g.cfg.MaxRetries {
 		p.done = true
 		res := Result{
-			Err:          "aqua: no replica responded",
+			Err:          ErrNoReply,
 			ResponseTime: g.ctx.Now().Sub(p.t0),
 			Selected:     p.selected,
 		}
@@ -403,34 +416,30 @@ func (g *Gateway) applySuspicion(in *selection.Input, now time.Time) {
 }
 
 // track remembers p, evicting the oldest entries past MaxPending. A victim
-// still unanswered fails back to its caller with an unknown outcome, so
-// every invocation gets its one callback. The callbacks run after the loop:
-// one that re-enters Invoke must not change pendingOrder while it is walked.
+// still unanswered fails back to its caller with ErrEvicted, so every
+// invocation gets its one callback. The callback is posted as its own event,
+// never run inside Invoke: a callback that re-invokes evicts the next victim
+// from a fresh stack, not a deeper one.
 func (g *Gateway) track(p *pendingReq) {
 	g.pending[p.id] = p
 	g.pendingOrder = append(g.pendingOrder, p.id)
-	var unanswered []*pendingReq
 	for len(g.pendingOrder) > g.cfg.MaxPending {
 		victimID := g.pendingOrder[0]
 		g.pendingOrder = g.pendingOrder[1:]
 		if victim, ok := g.pending[victimID]; ok {
-			if !victim.done {
-				unanswered = append(unanswered, victim)
+			if !victim.done && victim.cb != nil {
+				cb, res := victim.cb, Result{
+					Err:          ErrEvicted,
+					ResponseTime: g.ctx.Now().Sub(victim.t0),
+					Selected:     victim.selected,
+				}
+				g.ctx.Post(0, func() { cb(res) })
 			}
 			victim.done = true
 			if victim.stopRetry != nil {
 				victim.stopRetry()
 			}
 			delete(g.pending, victimID)
-		}
-	}
-	for _, v := range unanswered {
-		if v.cb != nil {
-			v.cb(Result{
-				Err:          "aqua: evicted from the pending table unanswered; outcome unknown",
-				ResponseTime: g.ctx.Now().Sub(v.t0),
-				Selected:     v.selected,
-			})
 		}
 	}
 }
@@ -537,6 +546,10 @@ func (g *Gateway) Metrics() Metrics {
 
 // FailureRate exposes the timing-failure detector's observed rate.
 func (g *Gateway) FailureRate() float64 { return g.fd.FailureRate() }
+
+// MaxPending returns the pending-table bound in effect (Config.MaxPending
+// after defaults).
+func (g *Gateway) MaxPending() int { return g.cfg.MaxPending }
 
 // Sequencer returns the client's current belief of the sequencer identity.
 func (g *Gateway) Sequencer() node.ID { return g.sequencer }

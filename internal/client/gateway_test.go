@@ -352,7 +352,7 @@ func TestClientEvictionReportsUnanswered(t *testing.T) {
 	var errs, oks int
 	for i := 0; i < 10; i++ {
 		f.invoke("Set", []byte("a=1"), func(r Result) {
-			if r.Err != "" {
+			if r.Err == ErrEvicted {
 				errs++
 			} else {
 				oks++
@@ -362,6 +362,56 @@ func TestClientEvictionReportsUnanswered(t *testing.T) {
 	f.s.RunFor(100 * ms) // before the first retry
 	if errs != 6 || oks != 0 {
 		t.Fatalf("callbacks: %d errors, %d replies; want 6 errors, 0 replies", errs, oks)
+	}
+}
+
+// An eviction callback never runs inside Invoke, so one that re-invokes
+// cannot recurse: 10 invokes through a 4-entry table, each re-invoked once
+// from its eviction callback, make 20 invokes. The last 4 stay pending; the
+// 10 originals and the first 6 re-invokes are evicted.
+func TestClientEvictionCallbackReentersInvoke(t *testing.T) {
+	cfg := baseConfig()
+	cfg.MaxPending = 4
+	f := newFixture(10, cfg)
+	f.rt.Start()
+	depth, nested := 0, 0
+	invoke := func(cb func(Result)) {
+		depth++
+		f.gw.Invoke("Set", []byte("a=1"), cb)
+		depth--
+	}
+	var originals, reinvokes int
+	again := func(r Result) {
+		if depth > 0 {
+			nested++
+		}
+		if r.Err == ErrEvicted {
+			reinvokes++
+		}
+	}
+	first := func(r Result) {
+		if depth > 0 {
+			nested++
+		}
+		if r.Err == ErrEvicted {
+			originals++
+			invoke(again)
+		}
+	}
+	f.s.After(0, func() {
+		for i := 0; i < 10; i++ {
+			invoke(first)
+		}
+	})
+	f.s.RunFor(100 * ms) // before the first retry
+	if nested != 0 {
+		t.Fatalf("%d callbacks ran inside Invoke", nested)
+	}
+	if originals != 10 || reinvokes != 6 {
+		t.Fatalf("evicted: %d originals, %d re-invokes; want 10, 6", originals, reinvokes)
+	}
+	if got := len(f.gw.pending); got != 4 {
+		t.Fatalf("pending = %d, want 4", got)
 	}
 }
 

@@ -73,9 +73,9 @@ func (c *LivemaxConfig) setDefaults() {
 	d.UpdateBytes = 1024
 	d.Deadline = 50 * time.Millisecond
 	d.Rates = []float64{1000, 1500, 2250, 3400, 5100, 7700, 11500, 17000, 26000}
-	d.SeqCostBase, d.SeqCostPerReq = 0, 0
 	d.ArrivalCoalesce = 10 * time.Millisecond
 	c.fill(d)
+	c.SeqCostBase, c.SeqCostPerReq = 0, 0 // the sim ramps', not settable here
 }
 
 // Quick shrinks the ramp to CI scale: two low rates, short wall-clock
@@ -92,7 +92,7 @@ func (c LivemaxConfig) Quick() LivemaxConfig {
 
 // target is the live loopback target on the optimized or legacy hot path.
 // Sharded deployments route per key over 1024 uniform keys.
-func (c LivemaxConfig) target(legacy bool) rampTarget {
+func (c LivemaxConfig) target(legacy bool) liveTarget {
 	sh := rampShape{shards: c.Shards}
 	if c.Shards > 1 {
 		sh.keys = 1024
@@ -196,11 +196,13 @@ type LivemaxReport struct {
 func RunLivemax(cfg LivemaxConfig) LivemaxReport {
 	cfg.setDefaults()
 	rep := LivemaxReport{Config: cfg, GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	runs := runRamp(cfg.RampConfig, cfg.target(true), cfg.target(false))
-	rep.Baseline, rep.Optimized = livemaxResult(true, runs[0]), livemaxResult(false, runs[1])
+	rep.Baseline = livemaxResult(true, walkRamp(cfg.RampConfig, cfg.target(true)))
+	rep.Optimized = livemaxResult(false, walkRamp(cfg.RampConfig, cfg.target(false)))
 	rep.RampSpeedup = rep.Optimized.over(rep.Baseline.RampPeak)
 	rep.Hotpath.Baseline = RunHotpathPoint(cfg, true)
+	reportProgress(1, 2)
 	rep.Hotpath.Optimized = RunHotpathPoint(cfg, false)
+	reportProgress(2, 2)
 	if rep.Hotpath.Baseline.UpdatesPerSec > 0 {
 		rep.Hotpath.Speedup = rep.Hotpath.Optimized.UpdatesPerSec / rep.Hotpath.Baseline.UpdatesPerSec
 	}
@@ -208,7 +210,7 @@ func RunLivemax(cfg LivemaxConfig) LivemaxReport {
 		simCfg := LoadmaxConfig{Seed: cfg.Seed}
 		simCfg.Rates = cfg.SimRates
 		simCfg.setDefaults()
-		sim := peakOf(runRamp(simCfg.RampConfig, simCfg.target(true))[0])
+		sim := peakOf(sweepRamp(simCfg.RampConfig, simCfg.target(true))[0])
 		rep.SimPeakRate = sim.PeakRate
 		rep.SimPeakUpdatesPerSec = sim.PeakUpdatesPerSec
 		rep.LiveVsSimUpdates = rep.Optimized.over(sim).SpeedupUpdates

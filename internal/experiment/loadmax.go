@@ -27,6 +27,7 @@ func (c *LoadmaxConfig) setDefaults() {
 	d := rampDefaults()
 	d.Rates = []float64{1000, 2000, 4000, 8000, 16000, 32000, 64000}
 	c.fill(d)
+	c.UpdateBytes, c.ArrivalCoalesce = 0, 0 // livemax's, not settable here
 }
 
 // Quick shrinks the ramp for smoke runs. It still spans the unbatched
@@ -42,7 +43,7 @@ func (c LoadmaxConfig) Quick() LoadmaxConfig {
 
 // target is the single-group sim target for one mode; each step's
 // scheduler is seeded with Seed plus its offered rate.
-func (c LoadmaxConfig) target(batched bool) rampTarget {
+func (c LoadmaxConfig) target(batched bool) simTarget {
 	return simTarget{rampShape{shards: 1, unbatched: !batched}, c.Seed}
 }
 
@@ -102,7 +103,7 @@ type LoadmaxPair struct {
 // same worker pool, and reports the peak-throughput ratio.
 func RunLoadmaxPair(cfg LoadmaxConfig) LoadmaxPair {
 	cfg.setDefaults()
-	runs := runRamp(cfg.RampConfig, cfg.target(false), cfg.target(true))
+	runs := sweepRamp(cfg.RampConfig, cfg.target(false), cfg.target(true))
 	pair := LoadmaxPair{
 		Config:   cfg,
 		Baseline: loadmaxResult(false, runs[0]),

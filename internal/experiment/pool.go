@@ -93,6 +93,14 @@ func RunPoints[C, R any](points []C, parallel int, progress func(done, total int
 	return out
 }
 
+// reportProgress tells the sweep progress observer, if any, that done of
+// total steps of the current stage have run.
+func reportProgress(done, total int) {
+	if sweepProgress != nil {
+		sweepProgress(done, total)
+	}
+}
+
 // runPoints is the sweep drivers' entry: RunPoints with the package-level
 // parallelism and progress configuration.
 func runPoints[C, R any](points []C, fn func(C) R) []R {

@@ -34,9 +34,10 @@ import (
 )
 
 // RampConfig is the run of fields every ramp shares. Each experiment's
-// config embeds it, so its fields keep their place in the artifact JSON;
-// the omitempty fields are the ones a ramp leaves at zero when it does not
-// use them.
+// config embeds it, so its fields keep their place in the artifact JSON.
+// The omitempty fields belong to one kind of ramp only, and the other kind
+// pins them to zero in its setDefaults: UpdateBytes and ArrivalCoalesce
+// are livemax's, SeqCostBase and SeqCostPerReq the sim ramps'.
 type RampConfig struct {
 	// Primaries counts serving primaries (the sequencer is extra, as in
 	// Fig4Config); Secondaries the secondary group.
@@ -224,14 +225,6 @@ type rampShape struct {
 	unbatched bool
 }
 
-// A rampTarget is the system a ramp step runs on.
-type rampTarget interface {
-	// run deploys the target, offers rate, and measures one window.
-	run(c RampConfig, rate float64) rampStep
-	// wallClock reports whether steps take real time.
-	wallClock() bool
-}
-
 // deploy stands up one step: the service as sh.shards deployments on
 // svcRT and the engine offering rate, registered as "load", on genRT.
 func (c RampConfig) deploy(sh rampShape, svcRT, genRT core.Runtime, rate float64) (*core.ShardedDeployment, *workload.Engine) {
@@ -318,49 +311,50 @@ func (c RampConfig) step(rate float64, w workload.EngineMetrics, sd *core.Sharde
 
 func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// runRamp walks c.Rates on every target and folds each target's peak.
-// Virtual-time targets fan every step across the sweep pool; wall-clock
-// targets walk their rates one at a time, in target order, and stop after
-// two misses in a row (overload only gets worse with offered rate, so the
-// tail would be dead time).
-func runRamp(c RampConfig, targets ...rampTarget) [][]rampStep {
-	runs := make([][]rampStep, len(targets))
+// sweepRamp runs c.Rates on every virtual-time target, every step of every
+// target fanned across the sweep pool (steps are share-nothing), and
+// returns each target's steps in rate order.
+func sweepRamp(c RampConfig, targets ...simTarget) [][]rampStep {
 	type job struct {
 		target int
 		rate   float64
 	}
 	var jobs []job
-	var walked []int
-	for i, t := range targets {
-		if t.wallClock() {
-			walked = append(walked, i)
-			continue
-		}
+	for i := range targets {
 		for _, r := range c.Rates {
 			jobs = append(jobs, job{i, r})
 		}
 	}
-	done, total := 0, len(walked)*len(c.Rates)
-	for _, i := range walked {
-		misses := 0
-		for _, r := range c.Rates {
-			s := targets[i].run(c, r)
-			runs[i] = append(runs[i], s)
-			if done++; sweepProgress != nil {
-				sweepProgress(done, total)
-			}
-			if s.sustained {
-				misses = 0
-			} else if misses++; misses == 2 {
-				break
-			}
-		}
-	}
 	steps := runPoints(jobs, func(j job) rampStep { return targets[j.target].run(c, j.rate) })
+	runs := make([][]rampStep, len(targets))
 	for k, j := range jobs {
 		runs[j.target] = append(runs[j.target], steps[k])
 	}
 	return runs
+}
+
+// walkRamp walks c.Rates on the wall-clock target one step at a time, so
+// no two steps share the machine, and stops after two misses in a row
+// (overload only gets worse with offered rate, so the tail would be dead
+// time). Progress counts this walk's steps; an early stop completes it.
+func walkRamp(c RampConfig, t liveTarget) []rampStep {
+	var steps []rampStep
+	misses := 0
+	for i, r := range c.Rates {
+		s := t.run(c, r)
+		steps = append(steps, s)
+		if s.sustained {
+			misses = 0
+		} else {
+			misses++
+		}
+		if misses == 2 {
+			reportProgress(len(c.Rates), len(c.Rates))
+			break
+		}
+		reportProgress(i+1, len(c.Rates))
+	}
+	return steps
 }
 
 // simTarget runs steps in virtual time: one scheduler per step, seeded
@@ -370,8 +364,6 @@ type simTarget struct {
 	rampShape
 	seed int64
 }
-
-func (t simTarget) wallClock() bool { return false }
 
 func (t simTarget) run(c RampConfig, rate float64) rampStep {
 	s := sim.NewScheduler(t.seed + int64(rate))
@@ -395,8 +387,6 @@ type liveTarget struct {
 	sendQueue int
 	legacy    bool
 }
-
-func (t liveTarget) wallClock() bool { return true }
 
 func (t liveTarget) run(c RampConfig, rate float64) rampStep {
 	liveOpts := []live.Option{live.WithSeed(t.seed)}

@@ -481,6 +481,26 @@ func TestHotpathPumpSmoke(t *testing.T) {
 	}
 }
 
+// The shared config block carries fields only one kind of ramp uses; the
+// other kind pins them to zero, so they are not options there.
+func TestRampConfigPinsForeignFields(t *testing.T) {
+	lm := LoadmaxConfig{RampConfig: RampConfig{UpdateBytes: 64, ArrivalCoalesce: time.Millisecond}}
+	lm.setDefaults()
+	sm := ShardmaxConfig{RampConfig: lm.RampConfig}
+	sm.UpdateBytes, sm.ArrivalCoalesce = 64, time.Millisecond
+	sm.setDefaults()
+	for name, c := range map[string]RampConfig{"loadmax": lm.RampConfig, "shardmax": sm.RampConfig} {
+		if c.UpdateBytes != 0 || c.ArrivalCoalesce != 0 {
+			t.Errorf("%s: UpdateBytes=%d ArrivalCoalesce=%v, want both 0", name, c.UpdateBytes, c.ArrivalCoalesce)
+		}
+	}
+	lv := LivemaxConfig{RampConfig: RampConfig{SeqCostBase: time.Millisecond, SeqCostPerReq: time.Microsecond}}
+	lv.setDefaults()
+	if lv.SeqCostBase != 0 || lv.SeqCostPerReq != 0 {
+		t.Errorf("livemax: SeqCostBase=%v SeqCostPerReq=%v, want both 0", lv.SeqCostBase, lv.SeqCostPerReq)
+	}
+}
+
 func TestLivemaxTableRenders(t *testing.T) {
 	var rep LivemaxReport
 	rep.Config.setDefaults()

@@ -40,6 +40,7 @@ func (c *ShardmaxConfig) setDefaults() {
 	d.SeqCostPerReq = 8 * time.Microsecond
 	d.Rates = []float64{16000, 32000, 64000, 128000, 256000}
 	c.fill(d)
+	c.UpdateBytes, c.ArrivalCoalesce = 0, 0 // livemax's, not settable here
 }
 
 // Quick shrinks the sweep for smoke runs. It still spans the single
@@ -58,7 +59,7 @@ func (c ShardmaxConfig) Quick() ShardmaxConfig {
 // multi-shard mode even at one shard, so every point of the sweep takes
 // the identical request path; the N=1 pin test holds that path
 // byte-identical to a plain unsharded deployment.
-func (c ShardmaxConfig) target(n int) rampTarget {
+func (c ShardmaxConfig) target(n int) simTarget {
 	return simTarget{rampShape{shards: n, keys: c.Keys}, c.Seed + 1_000_003*int64(n)}
 }
 
@@ -100,12 +101,12 @@ type ShardmaxReport struct {
 // speedups relative to the first ladder entry.
 func RunShardmax(cfg ShardmaxConfig) ShardmaxReport {
 	cfg.setDefaults()
-	targets := make([]rampTarget, len(cfg.Shards))
+	targets := make([]simTarget, len(cfg.Shards))
 	for i, n := range cfg.Shards {
 		targets[i] = cfg.target(n)
 	}
 	rep := ShardmaxReport{Config: cfg}
-	for i, steps := range runRamp(cfg.RampConfig, targets...) {
+	for i, steps := range sweepRamp(cfg.RampConfig, targets...) {
 		res := ShardmaxResult{Shards: cfg.Shards[i], RampPeak: peakOf(steps)}
 		for _, s := range steps {
 			res.Points = append(res.Points, ShardmaxPoint{

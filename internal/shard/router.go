@@ -48,6 +48,9 @@ type migration struct {
 	// zero; then the copy phase reads every known key in the range from the
 	// source and writes it through the destination.
 	draining bool
+	// todo lists the keys whose copy has not started; copies counts the
+	// keys not yet copied, started or not.
+	todo     []string
 	copies   int
 	buffered []bufferedCall
 	onDone   func(*Map)
@@ -251,7 +254,9 @@ func (r *Router) ReadAll(method string, payload []byte, cb func(shard int, res c
 //     holds a GSN in the source shard's order).
 //  3. Copy — read each known key in the interval from the source shard at
 //     staleness 0 (the committed frontier) and write it through the
-//     destination shard, giving it a GSN in the destination's order.
+//     destination shard, giving it a GSN in the destination's order. A
+//     copy that ends unanswered is retried, so a source that never answers
+//     stalls the move rather than losing a key.
 //  4. Install — adopt the version-bumped map and release the buffered
 //     invocations to the new owner.
 //
@@ -295,7 +300,9 @@ func (r *Router) maybeDrained() {
 // startCopy runs the migration's copy phase: known keys in the moving
 // interval, in sorted order (map iteration order must not leak into the
 // deterministic simulation), each read from the source frontier and written
-// through the destination.
+// through the destination. At most half the source gateway's pending table
+// is copying at once, so the copy's own requests never evict one another
+// and leave room for the traffic still routed to the source.
 func (r *Router) startCopy(mig *migration) {
 	var moving []string
 	for key := range r.keys {
@@ -308,30 +315,57 @@ func (r *Router) startCopy(mig *migration) {
 		r.install(mig)
 		return
 	}
-	mig.copies = len(moving)
-	for _, key := range moving {
-		key := key
-		// Staleness 0: the source's committed frontier, i.e. every update
-		// that completed before the drain finished.
-		r.gws[mig.from].InvokeStale(r.cfg.ReadMethod, []byte(key), 0, func(res client.Result) {
-			if res.Err != "" || len(res.Payload) == 0 {
-				// Key unknown at the source (never written, or written and
-				// deleted); nothing to copy.
-				r.copyDone(mig)
-				return
-			}
-			val := append(append([]byte(key), '='), res.Payload...)
-			r.gws[mig.to].Invoke(r.cfg.UpdateMethod, val, func(client.Result) {
-				r.copyDone(mig)
-			})
-		})
+	mig.todo, mig.copies = moving, len(moving)
+	for window := max(1, r.gws[mig.from].MaxPending()/2); window > 0 && len(mig.todo) > 0; window-- {
+		r.copyNext(mig)
 	}
+}
+
+// copyNext starts copying the next key on the migration's list.
+func (r *Router) copyNext(mig *migration) {
+	key := mig.todo[0]
+	mig.todo = mig.todo[1:]
+	r.copyKey(mig, key)
+}
+
+// copyKey reads key from the source at staleness 0: the committed frontier,
+// i.e. every update that completed before the drain finished. A read that
+// ended unanswered is retried, since skipping it would drop the key's
+// pre-move writes.
+func (r *Router) copyKey(mig *migration, key string) {
+	r.gws[mig.from].InvokeStale(r.cfg.ReadMethod, []byte(key), 0, func(res client.Result) {
+		switch {
+		case res.Unanswered():
+			r.copyKey(mig, key)
+		case res.Err != "" || len(res.Payload) == 0:
+			// Key unknown at the source (never written, or written and
+			// deleted); nothing to copy.
+			r.copyDone(mig)
+		default:
+			r.copyWrite(mig, append(append([]byte(key), '='), res.Payload...))
+		}
+	})
+}
+
+// copyWrite writes one copied key=value through the destination, retrying
+// until a reply decides it (the write is idempotent).
+func (r *Router) copyWrite(mig *migration, val []byte) {
+	r.gws[mig.to].Invoke(r.cfg.UpdateMethod, val, func(res client.Result) {
+		if res.Unanswered() {
+			r.copyWrite(mig, val)
+			return
+		}
+		r.copyDone(mig)
+	})
 }
 
 func (r *Router) copyDone(mig *migration) {
 	mig.copies--
-	if mig.copies == 0 {
+	switch {
+	case mig.copies == 0:
 		r.install(mig)
+	case len(mig.todo) > 0:
+		r.copyNext(mig)
 	}
 }
 

@@ -54,6 +54,14 @@ func (h *routerHarness) Recv(from node.ID, m node.Message) { h.r.Recv(from, m) }
 func deployRouted(t *testing.T, seed int64, n int, m *shard.Map, staleness int,
 	drive func(ctx node.Context, r *shard.Router)) (*sim.Scheduler, *core.ShardedDeployment, *shard.Router) {
 	t.Helper()
+	return deployRoutedWith(t, seed, n, m, clientTemplate(staleness), drive)
+}
+
+// deployRoutedWith is deployRouted with an explicit per-shard gateway
+// template.
+func deployRoutedWith(t *testing.T, seed int64, n int, m *shard.Map, ccfg client.Config,
+	drive func(ctx node.Context, r *shard.Router)) (*sim.Scheduler, *core.ShardedDeployment, *shard.Router) {
+	t.Helper()
 	s := sim.NewScheduler(seed)
 	rt := sim.NewRuntime(s, sim.WithDelay(netsim.UniformDelay{Min: 500 * time.Microsecond, Max: 2 * ms}))
 	svc := testService(3, 1, 300*ms)
@@ -62,7 +70,7 @@ func deployRouted(t *testing.T, seed int64, n int, m *shard.Map, staleness int,
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := shard.New(shard.Config{Shards: sd.Infos, Map: m, Client: clientTemplate(staleness)})
+	r := shard.New(shard.Config{Shards: sd.Infos, Map: m, Client: ccfg})
 	rt.Register("c00", &routerHarness{r: r, drive: func(ctx node.Context) { drive(ctx, r) }})
 	rt.Start()
 	return s, sd, r
@@ -324,5 +332,73 @@ func TestRouterMoveReadYourWrites(t *testing.T) {
 	d1 := sd.Shards[1]
 	if got := d1.Replicas[d1.Sequencer].Applied(); got != 1 {
 		t.Fatalf("destination shard applied %d updates, want 1", got)
+	}
+}
+
+// A move of more keys than the gateways' pending table holds must still
+// copy every key: the copy must not evict its own unanswered reads and
+// then count them as copied.
+func TestRouterMoveMoreKeysThanMaxPending(t *testing.T) {
+	const maxPending, nKeys = 4, 12
+	half := shard.RingEnd / 2
+	var keys []string
+	for i := 0; len(keys) < nKeys; i++ {
+		k := fmt.Sprintf("k%d", i)
+		if uint64(shard.Hash(k)) < half {
+			keys = append(keys, k)
+		}
+	}
+	ccfg := clientTemplate(0)
+	ccfg.MaxPending = maxPending
+
+	var installed *shard.Map
+	reads := map[string]client.Result{}
+	s, sd, _ := deployRoutedWith(t, 16, 2, nil, ccfg, func(ctx node.Context, r *shard.Router) {
+		// Write the keys one at a time (a burst would evict its own writes),
+		// then move them all and read each back from the new owner.
+		var readBack func(i int)
+		readBack = func(i int) {
+			if i == len(keys) {
+				return
+			}
+			r.Invoke("Get", []byte(keys[i]), func(res client.Result) {
+				reads[keys[i]] = res
+				readBack(i + 1)
+			})
+		}
+		var write func(i int)
+		write = func(i int) {
+			if i == len(keys) {
+				if err := r.Move(0, half, 1, func(m *shard.Map) { installed = m; readBack(0) }); err != nil {
+					t.Error(err)
+				}
+				return
+			}
+			r.Invoke("Set", []byte(keys[i]+"=v"+keys[i]), func(res client.Result) {
+				if res.Err != "" {
+					t.Errorf("write %s: %s", keys[i], res.Err)
+				}
+				write(i + 1)
+			})
+		}
+		ctx.SetTimer(10*ms, func() { write(0) })
+	})
+	s.RunFor(30 * time.Second)
+
+	if installed == nil {
+		t.Fatal("move did not install")
+	}
+	for _, k := range keys {
+		res, ok := reads[k]
+		if !ok || res.Err != "" || string(res.Payload) != "v"+k {
+			t.Fatalf("post-move read of %s = %+v, want v%s", k, res, k)
+		}
+		if owner := sd.Owner(res.Replica); owner != 1 {
+			t.Fatalf("post-move read of %s served by shard %d, want 1", k, owner)
+		}
+	}
+	d1 := sd.Shards[1]
+	if got := d1.Replicas[d1.Sequencer].Applied(); got != nKeys {
+		t.Fatalf("destination shard applied %d updates, want %d", got, nKeys)
 	}
 }
