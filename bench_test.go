@@ -527,7 +527,7 @@ func BenchmarkEndToEndSimRead(b *testing.B) {
 
 // BenchmarkFig4Point is the allocation contract for the simulator's hot
 // path: one full 200-request experiment per iteration, with allocs/op
-// reported. The free-listed scheduler events, pooled delivery/timer records,
+// reported. The scheduler's recycled slab slots, pooled delivery/timer records,
 // and scratch-slice reuse in the protocol stack are all on this path.
 func BenchmarkFig4Point(b *testing.B) {
 	b.ReportAllocs()

@@ -265,6 +265,9 @@ func run(which string, requests int, seed int64, iters int, obsPath, tracePath, 
 
 	if which == "fig3" || which == "all" {
 		ran = true
+		if iters < 1 {
+			return fmt.Errorf("-iters must be at least 1, got %d", iters)
+		}
 		points := experiment.RunFig3(
 			experiment.DefaultFig3ReplicaCounts(),
 			experiment.DefaultFig3Windows(),

@@ -144,9 +144,11 @@ func WriteGroupSplitTable(w io.Writer, results []GroupSplitResult) {
 type WindowResult struct {
 	Window int
 	Fig4Result
-	// Overhead is the per-selection cost at this window size (Figure 3's
-	// other axis), measured on the same synthetic setup as fig3.
+	// Overhead is the per-selection cold cost at this window size (Figure
+	// 3's other axis), measured on the same synthetic setup as fig3, and
+	// BinPairs the deterministic convolution work behind it.
 	Overhead time.Duration
+	BinPairs uint64
 }
 
 // RunWindowSweep studies the window-size trade-off the paper describes in
@@ -160,7 +162,7 @@ func RunWindowSweep(base Fig4Config, windows []int) []WindowResult {
 		cfg.Seed = base.Seed + int64(wsize)
 		r := RunFig4Point(cfg)
 		fp := RunFig3Point(10, wsize, 300, base.Seed)
-		return WindowResult{Window: wsize, Fig4Result: r, Overhead: fp.Overhead}
+		return WindowResult{Window: wsize, Fig4Result: r, Overhead: fp.Overhead, BinPairs: fp.BinPairs}
 	})
 }
 

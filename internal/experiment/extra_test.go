@@ -75,8 +75,8 @@ func TestRunWindowSweep(t *testing.T) {
 	if len(res) != 2 || res[0].Window != 5 || res[1].Window != 20 {
 		t.Fatalf("rows = %+v", res)
 	}
-	if res[1].Overhead <= res[0].Overhead {
-		t.Fatalf("window 20 overhead %v not above window 5 %v", res[1].Overhead, res[0].Overhead)
+	if err := workGrows(res[0].BinPairs, res[1].BinPairs); err != nil {
+		t.Fatalf("window 5 vs 20: %v", err)
 	}
 }
 

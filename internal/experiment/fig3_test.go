@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -63,13 +64,37 @@ func TestRunFig3GridSize(t *testing.T) {
 	}
 }
 
+// workGrows is the window-growth assertion: the paper's observation that a
+// bigger window costs more (more data points in the convolution), stated
+// on the deterministic convolution work rather than on wall-clock time.
+func workGrows(smallWindow, largeWindow uint64) error {
+	if largeWindow <= smallWindow {
+		return fmt.Errorf("large window convolved %d bin pairs, not more than the small window's %d",
+			largeWindow, smallWindow)
+	}
+	return nil
+}
+
 func TestFig3OverheadGrowsWithWindow(t *testing.T) {
 	small := RunFig3Point(8, 5, 200, 1)
 	large := RunFig3Point(8, 20, 200, 1)
-	// The paper's observation: bigger windows cost more (more data points
-	// in the convolution).
-	if large.Overhead <= small.Overhead {
-		t.Fatalf("window 20 (%v) not costlier than window 5 (%v)", large.Overhead, small.Overhead)
+	if err := workGrows(small.BinPairs, large.BinPairs); err != nil {
+		t.Fatalf("window 5 vs 20: %v", err)
+	}
+}
+
+// TestFig3WarmWorkCannotShowGrowth is the soundness check of the growth
+// assertion: the warm selections hit the PMF cache every time, convolve
+// nothing at either window, and so must fail it — as the old Fig 3, which
+// timed only warm selections, would have.
+func TestFig3WarmWorkCannotShowGrowth(t *testing.T) {
+	small := RunFig3Point(8, 5, 200, 1)
+	large := RunFig3Point(8, 20, 200, 1)
+	if small.WarmBinPairs != 0 || large.WarmBinPairs != 0 {
+		t.Fatalf("warm selections convolved %d and %d bin pairs, want 0", small.WarmBinPairs, large.WarmBinPairs)
+	}
+	if workGrows(small.WarmBinPairs, large.WarmBinPairs) == nil {
+		t.Fatal("growth assertion passed on warm, never-dirtied selections")
 	}
 }
 

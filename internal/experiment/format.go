@@ -11,13 +11,21 @@ import (
 // vs available replicas, one column group per window size.
 func WriteFig3Table(w io.Writer, points []Fig3Point) {
 	fmt.Fprintln(w, "Figure 3 — Overhead of the probabilistic selection algorithm")
-	fmt.Fprintln(w, "(microseconds per selection; ModelShare = fraction spent computing")
-	fmt.Fprintln(w, " response-time distributions; paper reports ~90%)")
+	fmt.Fprintln(w, "(microseconds per selection, cold = one replica's history changed")
+	fmt.Fprintln(w, " before each selection, warm = none; ModelShare = fraction of cold")
+	fmt.Fprintln(w, " spent computing response-time distributions, paper reports ~90%;")
+	fmt.Fprintln(w, " bin-pairs = convolution work per cold selection)")
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-10s %-8s %14s %12s\n", "replicas", "window", "overhead(us)", "model-share")
+	fmt.Fprintf(w, "%-10s %-8s %14s %12s %12s %12s\n",
+		"replicas", "window", "overhead(us)", "model-share", "warm(us)", "bin-pairs")
 	for _, p := range points {
-		fmt.Fprintf(w, "%-10d %-8d %14.1f %11.0f%%\n",
-			p.Replicas, p.Window, float64(p.Overhead.Nanoseconds())/1e3, p.ModelShare*100)
+		perSel := 0.0
+		if p.Iters > 0 {
+			perSel = float64(p.BinPairs) / float64(p.Iters)
+		}
+		fmt.Fprintf(w, "%-10d %-8d %14.1f %11.0f%% %12.1f %12.0f\n",
+			p.Replicas, p.Window, float64(p.Overhead.Nanoseconds())/1e3, p.ModelShare*100,
+			float64(p.WarmOverhead.Nanoseconds())/1e3, perSel)
 	}
 }
 

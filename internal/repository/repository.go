@@ -76,6 +76,10 @@ type Repository struct {
 	// order) key on it.
 	gen uint64
 
+	// binPairs counts the bin pairs multiplied by every distribution
+	// rebuild: the product of the two operands' supports per convolution.
+	binPairs uint64
+
 	// Publisher-fed staleness inputs.
 	rateCounts    []int           // sliding window of nu
 	rateDurations []time.Duration // matching tu
@@ -115,6 +119,12 @@ func (r *Repository) WindowSize() int { return r.windowSize }
 // Callers that cache anything derived from repository state can key their
 // caches on it.
 func (r *Repository) Generation() uint64 { return r.gen }
+
+// BinPairs returns the convolution work done so far: the bin pairs
+// multiplied by every ImmediatePMF/DeferredPMF rebuild. Cache hits add
+// nothing, so it measures exactly the work the PMF cache did not save, and
+// unlike a wall-clock timing it is deterministic.
+func (r *Repository) BinPairs() uint64 { return r.binPairs }
 
 func (r *Repository) history(id node.ID) *History {
 	h, ok := r.replicas[id]
@@ -209,6 +219,7 @@ func (r *Repository) ImmediatePMF(id node.ID, binWidth time.Duration) stats.PMF 
 	sc := &r.scratch
 	r.windowPMFInto(&sc.opA, h.s, binWidth)
 	r.windowPMFInto(&sc.opB, h.w, binWidth)
+	r.binPairs += uint64(sc.opA.Len() * sc.opB.Len())
 	stats.ConvolveInto(&sc.conv, sc.opA, sc.opB, &sc.kernel)
 	sc.conv.BinInto(&h.immed.pmf, binWidth)
 	if h.hasGateway {
@@ -242,6 +253,7 @@ func (r *Repository) DeferredPMF(id node.ID, binWidth, fallbackU time.Duration) 
 	} else {
 		r.windowPMFInto(&sc.opB, h.u, binWidth)
 	}
+	r.binPairs += uint64(base.Len() * sc.opB.Len())
 	stats.ConvolveInto(&sc.conv, base, sc.opB, &sc.kernel)
 	sc.conv.BinInto(&h.deferred.pmf, binWidth)
 	h.deferred = pmfCache{

@@ -20,8 +20,8 @@ import (
 // record whose callback was bound once at record creation (no per-message
 // closure), node contexts are resolved through a dense slot table instead of
 // repeated map[node.ID]*nodeCtx lookups, and the scheduler recycles the
-// underlying event structs. Experiment runs churn through millions of
-// messages, so this path dominates simulator cost.
+// slab slots that hold pending callbacks. Experiment runs churn through
+// millions of messages, so this path dominates simulator cost.
 type Runtime struct {
 	sched   *Scheduler
 	delay   netsim.DelayModel
@@ -258,8 +258,9 @@ func (r *Runtime) post(src, dst *nodeCtx, m node.Message) {
 }
 
 // timerRec is a pooled node timer. Like delivery, run is bound once so a
-// timer costs no wrapper-closure allocation; the scheduler-side cancel
-// handle is the only per-timer allocation left.
+// timer costs no wrapper-closure allocation; the SetTimer cancel handle is
+// the only per-timer allocation left. A record returns to the pool when it
+// fires or when a cancel wins, exactly once per tenancy.
 type timerRec struct {
 	c      *nodeCtx
 	f      func()
@@ -268,17 +269,22 @@ type timerRec struct {
 }
 
 func (t *timerRec) fire() {
-	if t.pooled {
-		panic("sim: timerRec double fire (already pooled)")
-	}
 	c, f := t.c, t.f
-	t.c, t.f = nil, nil
-	t.pooled = true
-	c.rt.freeTimer = append(c.rt.freeTimer, t)
+	t.release()
 	if c.crashed {
 		return
 	}
 	f()
+}
+
+func (t *timerRec) release() {
+	if t.pooled {
+		panic("sim: timerRec released twice")
+	}
+	rt := t.c.rt
+	t.c, t.f = nil, nil
+	t.pooled = true
+	rt.freeTimer = append(rt.freeTimer, t)
 }
 
 // nodeCtx implements node.Context for one registered node.
@@ -317,7 +323,16 @@ func (c *nodeCtx) timerRec(f func()) *timerRec {
 }
 
 func (c *nodeCtx) SetTimer(d time.Duration, f func()) node.CancelFunc {
-	return node.CancelFunc(c.rt.sched.After(d, c.timerRec(f).run))
+	rec, s := c.timerRec(f), c.rt.sched
+	slot, gen := s.push(s.later(d), rec.run)
+	return func() {
+		// Only the cancel that wins releases the record: the scheduler
+		// drops a canceled event's fn, so fire will never run. A repeated
+		// or stale cancel (after the timer fired) loses and does nothing.
+		if s.cancel(slot, gen) {
+			rec.release()
+		}
+	}
 }
 
 func (c *nodeCtx) Post(d time.Duration, f func()) {

@@ -286,3 +286,45 @@ func TestRuntimeInFlightToOldIncarnationDropped(t *testing.T) {
 		t.Fatal("in-flight message crossed the restart boundary")
 	}
 }
+
+// TestRuntimeCanceledTimerRecyclesRecord pins the timer pool's contract: a
+// cancel that wins returns the timer record to the pool (so a steady-state
+// SetTimer+cancel loop allocates only the cancel closure), and neither a
+// repeated cancel nor a stale one after the timer fired releases it again.
+func TestRuntimeCanceledTimerRecyclesRecord(t *testing.T) {
+	s := NewScheduler(1)
+	rt := NewRuntime(s)
+	var ctx node.Context
+	rt.Register("a", &node.FuncNode{OnInit: func(c node.Context) { ctx = c }})
+	rt.Start()
+	fired := 0
+	f := func() { fired++ }
+	cycle := func() {
+		cancel := ctx.SetTimer(time.Millisecond, f)
+		cancel()
+		s.RunUntilIdle()
+	}
+	cycle() // warm
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 1 {
+		t.Fatalf("SetTimer+cancel allocated %.2f once warm, want exactly 1 (the cancel closure)", allocs)
+	}
+	if fired != 0 {
+		t.Fatalf("canceled timers fired %d times", fired)
+	}
+
+	pool := len(rt.freeTimer)
+	canceled := ctx.SetTimer(time.Millisecond, f)
+	canceled()
+	canceled() // loses: must not release the record a second time
+	if got := len(rt.freeTimer); got != pool {
+		t.Fatalf("pool holds %d records after a repeated cancel, want %d", got, pool)
+	}
+	s.RunUntilIdle()
+	firedCancel := ctx.SetTimer(time.Millisecond, f)
+	s.RunUntilIdle()
+	firedCancel() // stale: the timer fired and released its record
+	canceled()    // stale from an older tenancy of a reused slot
+	if fired != 1 || len(rt.freeTimer) != pool {
+		t.Fatalf("fired %d (want 1), pool %d (want %d) after stale cancels", fired, len(rt.freeTimer), pool)
+	}
+}

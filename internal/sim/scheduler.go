@@ -6,61 +6,38 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"time"
 )
 
-// event is a scheduled callback. Events with equal times fire in scheduling
-// order (seq breaks ties), which keeps runs deterministic.
-//
-// Event structs are recycled through the scheduler's free list: experiment
-// runs churn through millions of events, and allocating each one separately
-// dominated the simulator's cost. gen increments every time an event object
-// is returned to the free list, so a stale cancel handle (or any other
-// reference from a previous tenancy) can detect that the object has moved on
-// and must not be touched.
-type event struct {
-	at       time.Time
-	seq      uint64
+// entry is one pending event in the queue: its firing time in nanoseconds
+// since Epoch, its scheduling sequence number, and the slab slot holding its
+// callback. (at, seq) is a total order — events with equal times fire in
+// scheduling order, which keeps runs deterministic. Entries carry no
+// pointers, so moving them within the heap costs no GC write barriers.
+type entry struct {
+	at   int64
+	seq  uint64
+	slot int32
+}
+
+func (a entry) before(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// record is the slab slot of a pending event. Slots are recycled through
+// the scheduler's free list: experiment runs churn through millions of
+// events, and allocating each one separately dominated the simulator's
+// cost. gen increments every time a slot is released, so a stale cancel
+// handle (or any other reference from a previous tenancy) can detect that
+// the slot has moved on and must not be touched.
+type record struct {
 	fn       func()
 	gen      uint32
 	canceled bool
-	index    int // heap index, maintained by eventHeap
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x interface{}) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
 }
 
 // Scheduler is a single-threaded discrete-event scheduler with a virtual
@@ -68,11 +45,15 @@ func (h *eventHeap) Pop() interface{} {
 // the goroutine that calls Run (which is also the goroutine that executes
 // every event callback). Distinct Scheduler instances share nothing, so
 // independent simulations may run on separate goroutines concurrently.
+//
+// Pending events live in a 4-ary min-heap of entries ordered by (at, seq);
+// the clock is kept as nanoseconds since Epoch.
 type Scheduler struct {
-	now     time.Time
+	now     int64 // nanoseconds since Epoch
 	seq     uint64
-	pending eventHeap
-	free    []*event // recycled event structs
+	heap    []entry
+	slab    []record
+	free    []int32 // released slab slots
 	seed    int64
 	stopped bool
 	ran     uint64
@@ -85,11 +66,11 @@ var Epoch = time.Date(2002, time.June, 23, 0, 0, 0, 0, time.UTC)
 // NewScheduler returns a scheduler whose clock starts at Epoch and whose
 // derived random sources are seeded from seed.
 func NewScheduler(seed int64) *Scheduler {
-	return &Scheduler{now: Epoch, seed: seed}
+	return &Scheduler{seed: seed}
 }
 
 // Now returns the current virtual time.
-func (s *Scheduler) Now() time.Time { return s.now }
+func (s *Scheduler) Now() time.Time { return Epoch.Add(time.Duration(s.now)) }
 
 // Seed returns the run seed the scheduler was created with.
 func (s *Scheduler) Seed() int64 { return s.seed }
@@ -97,72 +78,119 @@ func (s *Scheduler) Seed() int64 { return s.seed }
 // Events returns the number of events executed so far.
 func (s *Scheduler) Events() uint64 { return s.ran }
 
-// post schedules fn at t (clamped to now) on a recycled or fresh event and
-// returns the event. The caller must not retain the event past its firing
-// without checking gen.
-func (s *Scheduler) post(t time.Time, fn func()) *event {
-	if t.Before(s.now) {
-		t = s.now
+// later is the clock advanced by d, clamped below at now and saturating
+// instead of overflowing.
+func (s *Scheduler) later(d time.Duration) int64 {
+	if int64(d) > math.MaxInt64-s.now {
+		return math.MaxInt64
 	}
-	var ev *event
-	if n := len(s.free); n > 0 {
-		ev = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
-		ev = new(event)
-	}
-	ev.at = t
-	ev.seq = s.seq
-	ev.fn = fn
-	ev.canceled = false
-	s.seq++
-	heap.Push(&s.pending, ev)
-	return ev
+	return s.now + int64(max(d, 0))
 }
 
-// recycle returns a popped event to the free list, bumping its generation so
-// stale handles from its previous tenancy become inert.
-func (s *Scheduler) recycle(ev *event) {
-	ev.gen++
-	ev.fn = nil
-	s.free = append(s.free, ev)
+// push schedules fn at at (clamped to now) in a recycled or fresh slab slot
+// and returns the slot and its generation, which together name this
+// tenancy for cancel.
+func (s *Scheduler) push(at int64, fn func()) (int32, uint32) {
+	if at < s.now {
+		at = s.now
+	}
+	var slot int32
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		slot = int32(len(s.slab))
+		s.slab = append(s.slab, record{})
+	}
+	r := &s.slab[slot]
+	r.fn = fn
+	r.canceled = false
+	e := entry{at: at, seq: s.seq, slot: slot}
+	s.seq++
+
+	h := append(s.heap, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	s.heap = h
+	return slot, r.gen
+}
+
+// pop removes and returns the earliest entry. The heap must be non-empty.
+func (s *Scheduler) pop() entry {
+	h := s.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= n {
+				break
+			}
+			m := c
+			for j := c + 1; j < c+4 && j < n; j++ {
+				if h[j].before(h[m]) {
+					m = j
+				}
+			}
+			if !h[m].before(last) {
+				break
+			}
+			h[i] = h[m]
+			i = m
+		}
+		h[i] = last
+	}
+	s.heap = h
+	return top
+}
+
+// cancel marks the event in slot canceled if gen still names its current
+// tenancy and it has not been canceled already. It reports whether this
+// call is the one that canceled it.
+func (s *Scheduler) cancel(slot int32, gen uint32) bool {
+	r := &s.slab[slot]
+	if r.gen != gen || r.canceled {
+		return false
+	}
+	r.canceled = true
+	r.fn = nil
+	return true
 }
 
 // At schedules fn to run at virtual time t. Times in the past run "now":
 // they are clamped to the current clock so the clock never moves backwards.
 // The returned function cancels the callback; calling it after the event
-// fired (even if the underlying event object has been recycled for a later
+// fired (even if the underlying slot has been recycled for a later
 // callback) is a safe no-op.
 func (s *Scheduler) At(t time.Time, fn func()) func() {
-	ev := s.post(t, fn)
-	gen := ev.gen
-	return func() {
-		if ev.gen == gen {
-			ev.canceled = true
-		}
-	}
+	slot, gen := s.push(int64(t.Sub(Epoch)), fn)
+	return func() { s.cancel(slot, gen) }
 }
 
 // After schedules fn to run d from the current virtual time and returns a
 // cancel function. Negative durations are clamped to zero.
 func (s *Scheduler) After(d time.Duration, fn func()) func() {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now.Add(d), fn)
+	slot, gen := s.push(s.later(d), fn)
+	return func() { s.cancel(slot, gen) }
 }
 
 // Post schedules fn to run d from the current virtual time with no way to
 // cancel it. It is the allocation-lean sibling of After for fire-and-forget
 // work (message delivery, periodic ticks): it allocates nothing once the
-// event free list is warm, where After must allocate a cancel closure per
-// call.
+// slab is warm, where After must allocate a cancel closure per call.
 func (s *Scheduler) Post(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	s.post(s.now.Add(d), fn)
+	s.push(s.later(d), fn)
 }
 
 // Stop makes the currently running Run/RunUntilIdle call return after the
@@ -172,7 +200,7 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // RunUntilIdle executes events until no events remain or Stop is called.
 // It returns the number of events executed by this call.
 func (s *Scheduler) RunUntilIdle() uint64 {
-	return s.run(time.Time{}, false)
+	return s.run(math.MaxInt64)
 }
 
 // Run executes events until the virtual clock would pass deadline, no events
@@ -180,37 +208,37 @@ func (s *Scheduler) RunUntilIdle() uint64 {
 // On return the clock is at the last executed event's time (or at deadline
 // if it advanced past all events). It returns the number of events executed.
 func (s *Scheduler) Run(deadline time.Time) uint64 {
-	n := s.run(deadline, true)
-	if !s.stopped && s.now.Before(deadline) {
-		s.now = deadline
+	until := int64(deadline.Sub(Epoch))
+	n := s.run(until)
+	if !s.stopped && s.now < until {
+		s.now = until
 	}
 	return n
 }
 
 // RunFor is shorthand for Run(Now().Add(d)).
 func (s *Scheduler) RunFor(d time.Duration) uint64 {
-	return s.Run(s.now.Add(d))
+	return s.Run(s.Now().Add(d))
 }
 
-func (s *Scheduler) run(deadline time.Time, bounded bool) uint64 {
+func (s *Scheduler) run(deadline int64) uint64 {
 	s.stopped = false
 	var n uint64
-	for len(s.pending) > 0 && !s.stopped {
-		next := s.pending[0]
-		if bounded && next.at.After(deadline) {
-			break
-		}
-		heap.Pop(&s.pending)
-		if next.canceled {
-			s.recycle(next)
+	for len(s.heap) > 0 && !s.stopped && s.heap[0].at <= deadline {
+		e := s.pop()
+		r := &s.slab[e.slot]
+		fn := r.fn
+		canceled := r.canceled
+		// Release the slot before running: fn may itself schedule events
+		// and is the common producer of the next tenancy. The generation
+		// bump has already invalidated any cancel handle to this firing.
+		r.gen++
+		r.fn = nil
+		s.free = append(s.free, e.slot)
+		if canceled {
 			continue
 		}
-		s.now = next.at
-		fn := next.fn
-		// Recycle before running: fn may itself schedule events and is the
-		// common producer of the next tenancy. The generation bump has
-		// already invalidated any cancel handle to this firing.
-		s.recycle(next)
+		s.now = e.at
 		fn()
 		n++
 		s.ran++

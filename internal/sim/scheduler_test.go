@@ -192,7 +192,7 @@ func TestSchedulerOrderingProperty(t *testing.T) {
 	}
 }
 
-// The free-list tests below pin down the recycling contract: an event struct
+// The free-list tests below pin down the recycling contract: a slab slot
 // is reused across tenancies, and only the generation counter keeps stale
 // cancel handles from reaching into a later tenancy.
 
@@ -204,7 +204,7 @@ func TestSchedulerRecycledEventIgnoresStaleCancel(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("first tenancy fired %d times, want 1", fired)
 	}
-	// The event struct is now on the free list; the next After reuses it.
+	// The slot is now on the free list; the next After reuses it.
 	second := 0
 	s.After(time.Millisecond, func() { second++ })
 	cancel() // stale handle from the first tenancy: must be inert
@@ -223,7 +223,7 @@ func TestSchedulerCanceledEventRecyclesWithoutFiring(t *testing.T) {
 	if fired != 0 {
 		t.Fatal("canceled event fired")
 	}
-	// The canceled event was recycled at pop; its struct must serve a new
+	// The canceled event was recycled at pop; its slot must serve a new
 	// tenancy with a fresh callback, not the canceled flag or old fn.
 	second := 0
 	s.After(time.Millisecond, func() { second++ })
@@ -235,7 +235,7 @@ func TestSchedulerCanceledEventRecyclesWithoutFiring(t *testing.T) {
 
 func TestSchedulerCancelAfterRecycleManyTenancies(t *testing.T) {
 	// A single retained cancel handle must stay inert across many reuses of
-	// its event struct (the generation counter keeps advancing).
+	// its slab slot (the generation counter keeps advancing).
 	s := NewScheduler(1)
 	var stale func()
 	fired := 0
@@ -252,8 +252,8 @@ func TestSchedulerCancelAfterRecycleManyTenancies(t *testing.T) {
 }
 
 func TestSchedulerPostReusesEvents(t *testing.T) {
-	// Post must recycle event structs: schedule->fire->schedule in a chain
-	// and verify the free list keeps the heap from growing.
+	// Post must recycle slab slots: schedule->fire->schedule in a chain
+	// and verify the free list keeps the slab from growing.
 	s := NewScheduler(1)
 	n := 0
 	var tick func()
@@ -270,5 +270,30 @@ func TestSchedulerPostReusesEvents(t *testing.T) {
 	}
 	if got := len(s.free); got != 1 {
 		t.Fatalf("free list holds %d events after a serial chain, want 1", got)
+	}
+}
+
+// TestSchedulerPostSteadyStateZeroAlloc is the scheduler's allocation
+// contract: once the slab, heap and free list have grown to the peak number
+// of pending events, Post plus the run that fires it allocates nothing, and
+// After allocates exactly its cancel closure.
+func TestSchedulerPostSteadyStateZeroAlloc(t *testing.T) {
+	s := NewScheduler(1)
+	fn := func() {}
+	burst := func() {
+		for i := 0; i < 300; i++ {
+			s.Post(time.Duration(i%7)*time.Millisecond, fn)
+		}
+		s.RunUntilIdle()
+	}
+	burst() // warm
+	if allocs := testing.AllocsPerRun(50, burst); allocs != 0 {
+		t.Fatalf("Post+run allocated %.2f per burst once warm, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		s.After(time.Millisecond, fn)
+		s.RunUntilIdle()
+	}); allocs != 1 {
+		t.Fatalf("After+run allocated %.2f once warm, want exactly 1 (its cancel closure)", allocs)
 	}
 }

@@ -97,12 +97,16 @@ BEGIN { n = 0 }
 END {
 	printf "{\n"
 	printf "  \"bench_regexp\": \"BenchmarkFig4Point$|BenchmarkSimulator$|BenchmarkSweepWallClock\",\n"
-	# Pre-PR numbers (per-event/per-message allocation, sequential sweeps
-	# only), taken on the same machine before the free-list/pooling rewrite.
-	printf "  \"baseline_pre_optimization\": [\n"
-	printf "    {\"name\": \"BenchmarkFig4Point\", \"ns_per_op\": 89005114, \"bytes_per_op\": 26899997, \"allocs_per_op\": 497656},\n"
-	printf "    {\"name\": \"BenchmarkSimulator\", \"ns_per_op\": 115.2, \"events_per_sec\": 8680555, \"bytes_per_op\": 79, \"allocs_per_op\": 1}\n"
-	printf "  ],\n"
+	# Parent-commit numbers: the same benchmarks at commit 03fd0fd (the
+	# container/heap event queue the pointer-free 4-ary heap replaced),
+	# median of -count 3, measured on the same 2-vCPU machine in the same
+	# session as the results below.
+	printf "  \"baseline_parent\": {\"commit\": \"03fd0fd\", \"results\": [\n"
+	printf "    {\"name\": \"BenchmarkSimulator\", \"ns_per_op\": 111.8, \"events_per_sec\": 8944543, \"bytes_per_op\": 24, \"allocs_per_op\": 1},\n"
+	printf "    {\"name\": \"BenchmarkFig4Point\", \"ns_per_op\": 70680323, \"bytes_per_op\": 6984504, \"allocs_per_op\": 65543},\n"
+	printf "    {\"name\": \"BenchmarkSweepWallClock/parallel=1\", \"ns_per_op\": 260114383, \"bytes_per_op\": 30517194, \"allocs_per_op\": 316827},\n"
+	printf "    {\"name\": \"BenchmarkSweepWallClock/parallel=gomaxprocs\", \"ns_per_op\": 179267847, \"bytes_per_op\": 30517752, \"allocs_per_op\": 316832}\n"
+	printf "  ]},\n"
 	printf "  \"results\": [\n"
 	for (i = 0; i < n; i++) printf "  %s%s\n", rows[i], (i < n - 1 ? "," : "")
 	printf "  ]\n}\n"
